@@ -10,7 +10,8 @@ pins BLAS to one thread and clears every ``REPRO_*`` policy variable, so
 the program runs at its defaults.  Standard output carries an environment
 header, a human-readable table and, as its last line, one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0`` reports
-the end-to-end metrics; ``--trace 1`` instruments the program's layer
+the end-to-end metrics, their timings scaled to a reference host speed
+(``hostspeed.py``); ``--trace 1`` instruments the program's layer
 boundaries and reports the per-layer metrics instead.
 """
 

@@ -25,6 +25,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "src")]
 
 import run                                          # noqa: E402
 import workloads                                    # noqa: E402
+from hostspeed import REFERENCE_MS, HostSpeed, durations  # noqa: E402
 from spans import Tracer, covered_length            # noqa: E402
 
 
@@ -68,6 +69,29 @@ def test_covered_length_merges_overlaps_and_clips():
     intervals = [(1, 4), (3, 6), (8, 12), (-2, -1)]
     assert covered_length(intervals, 0, 10) == 7
     assert covered_length([], 0, 10) == 0
+
+
+def test_host_speed_scales_each_piece_by_the_samples_around_it():
+    # Kernel samples end at 0.01, 1.005 and 2.01 s and take 10, 5, 10 ms.
+    host = HostSpeed(clock=FakeClock([0.0, 0.01, 1.0, 1.005, 2.0, 2.01]),
+                     kernel=lambda: 0.0)
+    for _ in range(3):
+        host.sample()
+    assert host.reference_ms == pytest.approx(10.0)
+    pieces = [(0.005, 1.0), (0.5, 1.0), (1.5, 2.0), (3.0, 1.0)]
+    # Before the first sample and after the last, one sample decides;
+    # in between, the mean of the samples on either side (7.5 ms).
+    assert host.scale(pieces) == pytest.approx(
+        [REFERENCE_MS / 10, REFERENCE_MS / 7.5, 2 * REFERENCE_MS / 7.5,
+         REFERENCE_MS / 10])
+    assert durations(pieces) == [1.0, 1.0, 2.0, 1.0]
+
+
+def test_reference_kernel_is_deterministic():
+    host = HostSpeed()
+    assert host.kernel() == host.kernel()
+    host.sample()
+    assert len(host.samples) == 1 and host.samples[0] > 0
 
 
 def tiny_tasks():
@@ -175,6 +199,9 @@ def test_tiny_smoke_run(workload, trace):
     if not trace:
         assert all(result["metrics"][name]["value"] > 0
                    for name in run.UNITS)
+        notes = json.loads(next(line for line in lines
+                                if line.startswith("notes "))[6:])
+        assert set(notes["measured"]) == set(run.UNITS)
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

@@ -2,7 +2,8 @@
 
 Each workload builds its inputs from the seed, times only the phases it
 is named for, checks the program's answers and returns an
-:class:`Outcome`.  ``README.md`` in this directory says why each
+:class:`Outcome`.  Its timings are reported at the reference host speed
+(``hostspeed.py``); the notes carry them as measured.  ``README.md`` in this directory says why each
 workload and metric was chosen and which layer it stresses.
 """
 
@@ -31,6 +32,7 @@ from repro.serve import GatewayConfig, ServeGateway
 from repro.tasks import ScenarioConfig, Task, make_sgsc_tasks
 from repro.utils import make_rng
 
+from hostspeed import HostSpeed, Timed, durations
 from spans import BACKEND_OPS, Tracer, instrument
 
 WORKLOADS = ("train", "serve", "churn")
@@ -38,6 +40,7 @@ BATCH = 4       # tasks per optimiser step (episodic mini-batch)
 # The task corpus is fixed, like a benchmark dataset; the run's seed
 # drives model initialisation, training order, traffic and deltas.
 CORPUS_SEED = 0
+HOST_SAMPLE_EVERY_S = 0.2       # churn: host-speed samples between rounds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +107,8 @@ LAYER_KEYS = tuple(
        "serve.batcher_ms_per_tick",
        "loadgen.sent", "loadgen.completed", "loadgen.failed",
        "loadgen.late_p99_ms", "loadgen.query_p99_ms",
-       "trace.spans", "trace.traced_ms", "trace.throughput_per_s"])
+       "trace.spans", "trace.traced_ms", "trace.throughput_per_s",
+       "host.reference_ms"])
 
 
 @dataclasses.dataclass
@@ -151,6 +155,19 @@ def per_unit(value: float, units: int) -> float:
     return value / units if units else 0.0
 
 
+def timed_since(start: float) -> Timed:
+    end = time.perf_counter()
+    return end, end - start
+
+
+def host_notes(host: HostSpeed,
+               measured: Dict[str, float]) -> Dict[str, object]:
+    """The end-to-end metrics as measured, before scaling, and the host's
+    reference-kernel time."""
+    return {"measured": measured, "host_reference_ms": host.reference_ms,
+            "host_samples": len(host.samples)}
+
+
 def traced(tracer: Optional[Tracer]):
     """Instrument the program inside the block, when tracing."""
     return instrument(tracer) if tracer is not None \
@@ -167,17 +184,21 @@ def load_tasks(size: Size, num_train: int, num_test: int):
     return make_sgsc_tasks(dataset, config)
 
 
-def repeated_setup(repeats: int, build: Callable[[], object]):
-    """Run ``build`` ``repeats`` times; return the last result and the
-    median wall time."""
-    times, result = [], None
+def repeated_setup(repeats: int, build: Callable[[], object],
+                   host: HostSpeed):
+    """Run ``build`` ``repeats`` times, sampling the host's speed before
+    and after each; return the last result and the timed set-ups."""
+    timed: List[Timed] = []
+    result = None
     for _ in range(repeats):
         result = None                   # free the previous set-up first
         gc.collect()
+        host.sample()
         start = time.perf_counter()
         result = build()
-        times.append(time.perf_counter() - start)
-    return result, statistics.median(times)
+        timed.append(timed_since(start))
+    host.sample()
+    return result, timed
 
 
 def answer_quality(engine: CommunitySearchEngine,
@@ -295,9 +316,11 @@ def run_train(seed: int, seconds: float, tracer: Optional[Tracer],
     A ``train_cold_share`` of the time goes to cold epochs on tasks whose
     features and graph operators were dropped first.
     """
-    taskset, setup_s = repeated_setup(
+    host = HostSpeed()
+    taskset, setups = repeated_setup(
         size.train_setup_repeats,
-        lambda: load_tasks(size, size.train_tasks, size.train_eval_tasks))
+        lambda: load_tasks(size, size.train_tasks, size.train_eval_tasks),
+        host)
     train_tasks = taskset.train
     in_dim = train_tasks[0].features().shape[1]
     config = MetaTrainConfig(epochs=size.train_epochs,
@@ -308,23 +331,30 @@ def run_train(seed: int, seconds: float, tracer: Optional[Tracer],
     meta_train(gat_model(in_dim, seed), train_tasks, one_epoch,
                make_rng(seed))                    # warm-up (untimed)
 
-    epoch_seconds: List[float] = []
+    epochs: List[Timed] = []
     final_losses: List[float] = []
-    cold_seconds: List[float] = []
+    colds: List[Timed] = []
     attempted = failed = 0
     model = None
+    started = [0.0]
+
+    def end_epoch(*_) -> None:
+        """Record the epoch, then sample the host between epochs."""
+        epochs.append(timed_since(started[0]))
+        host.sample()
+        started[0] = time.perf_counter()
+
+    host.sample()
     with traced(tracer):
         begin = time.perf_counter()
         cold_total = 0.0
         while not final_losses or time.perf_counter() - begin < seconds:
-            marks = [time.perf_counter()]
+            started[0] = time.perf_counter()
             model = gat_model(in_dim, seed)
             attempted += config.epochs * steps_per_epoch
             try:
-                state = meta_train(
-                    model, train_tasks, config, make_rng(seed),
-                    callback=lambda *_: marks.append(time.perf_counter()))
-                epoch_seconds.extend(np.diff(marks).tolist())
+                state = meta_train(model, train_tasks, config,
+                                   make_rng(seed), callback=end_epoch)
                 final_losses.append(state.epoch_losses[-1])
             except Exception:           # noqa: BLE001 - counted as failed
                 failed = count_failure(failed,
@@ -333,7 +363,7 @@ def run_train(seed: int, seconds: float, tracer: Optional[Tracer],
             # epoch over every task after dropping its features and graph
             # operators.  A whole epoch per sample keeps the sample's task
             # mix fixed.
-            while not cold_seconds or cold_total < size.train_cold_share \
+            while not colds or cold_total < size.train_cold_share \
                     * (time.perf_counter() - begin):
                 for task in train_tasks:
                     task.invalidate_feature_caches()
@@ -343,29 +373,35 @@ def run_train(seed: int, seconds: float, tracer: Optional[Tracer],
                 try:
                     meta_train(gat_model(in_dim, seed), train_tasks,
                                one_epoch, make_rng(seed))
-                    cold_seconds.append(time.perf_counter() - start)
+                    colds.append(timed_since(start))
                 except Exception:       # noqa: BLE001 - counted as failed
                     failed = count_failure(failed, steps_per_epoch)
                 cold_total += time.perf_counter() - start
+                host.sample()
     rss_mb = peak_rss_mb()              # before the checks allocate
 
     engine = CommunitySearchEngine(model,
                                    max_cached_contexts=len(taskset.test))
     f1, trivial, queries = answer_quality(engine, taskset.test)
-    median_epoch = statistics.median(epoch_seconds)
     layers = layer_metrics(
-        tracer, (len(epoch_seconds) + len(cold_seconds)) * steps_per_epoch)
+        tracer, (len(epochs) + len(colds)) * steps_per_epoch)
     layers["core.train.final_loss"] = final_losses[-1]
-    return Outcome(
-        metrics={
-            "setup_s": setup_s,
+    layers["host.reference_ms"] = host.reference_ms
+
+    def timings(seconds_of: Callable[[List[Timed]], List[float]]):
+        epoch = statistics.median(seconds_of(epochs))
+        return {
+            "setup_s": statistics.median(seconds_of(setups)),
             "peak_rss_mb": rss_mb,
             "answer_f1": f1,
-            "throughput_per_s": len(train_tasks) / median_epoch,
-            "latency_ms": median_epoch / steps_per_epoch * 1e3,
-            "cold_ms": statistics.median(cold_seconds) / steps_per_epoch
-            * 1e3,
-        },
+            "throughput_per_s": len(train_tasks) / epoch,
+            "latency_ms": epoch / steps_per_epoch * 1e3,
+            "cold_ms": statistics.median(seconds_of(colds))
+            / steps_per_epoch * 1e3,
+        }
+
+    return Outcome(
+        metrics=timings(host.scale),
         layers=layers,
         checks={
             "f1_beats_all_members": f1 > trivial,
@@ -374,9 +410,9 @@ def run_train(seed: int, seconds: float, tracer: Optional[Tracer],
         },
         attempted=attempted, failed=failed,
         notes={"trivial_f1": trivial, "f1_queries": queries,
-               "epochs_timed": len(epoch_seconds),
-               "trainings": len(final_losses),
-               "cold_epochs": len(cold_seconds), "unit": "optimiser step"})
+               "epochs_timed": len(epochs), "trainings": len(final_losses),
+               "cold_epochs": len(colds), "unit": "optimiser step",
+               **host_notes(host, timings(durations))})
 
 
 # ----------------------------------------------------------------------
@@ -505,9 +541,10 @@ def run_serve(seed: int, seconds: float, tracer: Optional[Tracer],
     cached, then attaches tenants cold.  The hot tenants are re-attached
     (untimed) before each traffic phase.
     """
-    deployment, setup_s = repeated_setup(
+    host = HostSpeed()
+    deployment, setups = repeated_setup(
         size.setup_repeats,
-        lambda: deploy(seed, size, workdir, size.lru_slots))
+        lambda: deploy(seed, size, workdir, size.lru_slots), host)
     engine, tasks = deployment.engine, deployment.tasks
     hot = tasks[:size.lru_slots]        # the Zipf-most-popular tenants
     slice_s = seconds / size.serve_slices
@@ -521,41 +558,54 @@ def run_serve(seed: int, seconds: float, tracer: Optional[Tracer],
     latency: List[float] = []
     late: List[float] = []
     answers: List[Optional[np.ndarray]] = []
-    closed_rates: List[float] = []
-    attach_seconds: List[float] = []
+    # Closed-loop slices: (timed, requests done, seconds the gateway's
+    # ticker slept on its coalescing timer).
+    closed: List[Tuple[Timed, int, float]] = []
+    open_ends: List[float] = []         # when each open-loop slice ended
+    opened: List[int] = []              # requests sent up to then
+    attaches: List[Timed] = []
     moves: Dict[str, float] = dict.fromkeys(COUNTERS, 0.0)
     counts = {"closed": 0, "closed_failed": 0, "attaches": 0,
               "attach_failed": 0}
 
+    config = GatewayConfig()
+
     async def sliced_run():
-        async with ServeGateway(engine, GatewayConfig()) as gateway:
+        async with ServeGateway(engine, config) as gateway:
             await gateway.submit([0], hot[0])           # warm-up
             gateway.reset_stats()
             for index in range(size.serve_slices):
                 lo, hi = index * open_s, (index + 1) * open_s
+                host.sample()           # no request is in flight
                 for task in hot:
                     engine.attach(task)
                 before = engine.stats()
-                opened = await open_loop(
+                parts = await open_loop(
                     gateway, tasks,
                     [r for r in requests if lo <= r.due < hi], offset=lo)
                 for key, moved in counter_moves(before,
                                                 engine.stats()).items():
                     moves[key] += moved
-                for collected, part in zip((latency, late, answers), opened):
+                for collected, part in zip((latency, late, answers), parts):
                     collected.extend(part)
+                open_ends.append(time.perf_counter())
+                opened.append(len(latency))
 
+                host.sample()
                 for task in hot:
                     engine.attach(task)
+                ticks = gateway.stats().ticks
                 done, failed, elapsed = await closed_loop(
                     gateway, hot, (seed, 2, index), size.closed_clients,
                     closed_s)
+                asleep = (gateway.stats().ticks - ticks) * config.tick_seconds
+                closed.append(((time.perf_counter(), elapsed), done, asleep))
                 counts["closed"] += done
                 counts["closed_failed"] += failed
-                closed_rates.append(done / elapsed)
 
                 # Attaches block the event loop on purpose: no request is
                 # in flight between the phases.
+                host.sample()
                 begin = time.perf_counter()
                 while time.perf_counter() - begin < attach_s:
                     task = tasks[counts["attaches"] % len(tasks)]
@@ -565,10 +615,11 @@ def run_serve(seed: int, seconds: float, tracer: Optional[Tracer],
                     start = time.perf_counter()
                     try:
                         engine.attach(task, refresh=True)
-                        attach_seconds.append(time.perf_counter() - start)
+                        attaches.append(timed_since(start))
                     except Exception:   # noqa: BLE001 - counted as failed
                         counts["attach_failed"] = count_failure(
                             counts["attach_failed"])
+            host.sample()
             return gateway_layers(gateway)
 
     with traced(tracer):
@@ -594,16 +645,35 @@ def run_serve(seed: int, seconds: float, tracer: Optional[Tracer],
         "loadgen.failed": float(open_failed),
         "loadgen.late_p99_ms": percentile(late, 99) * 1e3,
         "loadgen.query_p99_ms": percentile(latency, 99) * 1e3,
+        "host.reference_ms": host.reference_ms,
     })
-    return Outcome(
-        metrics={
-            "setup_s": setup_s,
+
+    def timings(seconds_of: Callable[[List[Timed]], List[float]]):
+        # The ticker's sleep on its coalescing timer does not slow with
+        # the host, so it is left out of the scaling: in the closed loop
+        # every tick slept ``tick_seconds``, and an open-loop request
+        # waits at most one tick (exactly one when it finds the ticker
+        # idle, as the median request at this rate does).
+        def but_timer(end: float, seconds: float, asleep: float) -> float:
+            asleep = min(asleep, seconds)
+            return asleep + seconds_of([(end, seconds - asleep)])[0]
+
+        rates = [done / but_timer(end, elapsed, asleep)
+                 for (end, elapsed), done, asleep in closed]
+        latencies = [but_timer(end, seconds, config.tick_seconds)
+                     for end, lo, hi in zip(open_ends, [0] + opened, opened)
+                     for seconds in latency[lo:hi]]
+        return {
+            "setup_s": statistics.median(seconds_of(setups)),
             "peak_rss_mb": rss_mb,
             "answer_f1": f1,
-            "throughput_per_s": statistics.median(closed_rates),
-            "latency_ms": percentile(latency, 50) * 1e3,
-            "cold_ms": statistics.median(attach_seconds) * 1e3,
-        },
+            "throughput_per_s": statistics.median(rates),
+            "latency_ms": percentile(latencies, 50) * 1e3,
+            "cold_ms": statistics.median(seconds_of(attaches)) * 1e3,
+        }
+
+    return Outcome(
+        metrics=timings(host.scale),
         layers=layers,
         checks={
             "f1_beats_all_members": f1 > trivial,
@@ -617,8 +687,9 @@ def run_serve(seed: int, seconds: float, tracer: Optional[Tracer],
                "open_loop_rate_per_s": size.open_rate,
                "closed_loop_requests": counts["closed"],
                "closed_loop_clients": size.closed_clients,
-               "cold_attaches": len(attach_seconds),
-               "parity_samples": len(sampled), "unit": "request or attach"})
+               "cold_attaches": len(attaches),
+               "parity_samples": len(sampled), "unit": "request or attach",
+               **host_notes(host, timings(durations))})
 
 
 # ----------------------------------------------------------------------
@@ -733,55 +804,66 @@ def run_churn(seed: int, seconds: float, tracer: Optional[Tracer],
               size: Size = FULL, workdir: str = ".") -> Outcome:
     """Writes beside reads on many tenant graphs; one unit is one op (a
     delta or a query batch)."""
-    deployment, setup_s = repeated_setup(
+    host = HostSpeed()
+    deployment, setups = repeated_setup(
         size.setup_repeats,
-        lambda: deploy(seed, size, workdir, size.tenants))
+        lambda: deploy(seed, size, workdir, size.tenants), host)
     engine, tasks = deployment.engine, deployment.tasks
     for task in tasks:                  # warm-up (untimed)
         engine.predict_proba([0], task)
     stream = DeltaStream(seed, tasks, size)
     before = engine.stats()
 
-    delta_seconds: List[float] = []
-    read_after_write: List[float] = []
-    round_seconds: List[float] = []
+    deltas: List[Timed] = []
+    read_after_write: List[Timed] = []
+    rounds: List[Timed] = []
     attempted = failed = 0
+    host.sample()
     with traced(tracer):
-        begin = time.perf_counter()
+        begin = sampled = time.perf_counter()
         for churn in stream:
-            if round_seconds and time.perf_counter() - begin >= seconds:
+            if rounds and time.perf_counter() - begin >= seconds:
                 break
+            if time.perf_counter() - sampled >= HOST_SAMPLE_EVERY_S:
+                host.sample()
+                sampled = time.perf_counter()
             attempted += 1 + len(churn.queries)
             start = time.perf_counter()
             try:
                 engine.apply_delta(churn.delta, task=tasks[churn.task])
-                delta_seconds.append(time.perf_counter() - start)
+                deltas.append(timed_since(start))
                 for other, nodes in churn.queries:
                     asked = time.perf_counter()
                     engine.predict_proba(nodes, tasks[other])
-                    if len(read_after_write) < len(delta_seconds):
-                        read_after_write.append(time.perf_counter() - asked)
+                    if len(read_after_write) < len(deltas):
+                        read_after_write.append(timed_since(asked))
             except Exception:           # noqa: BLE001 - counted as failed
                 failed = count_failure(failed, 1 + len(churn.queries))
                 continue
-            round_seconds.append(time.perf_counter() - start)
+            rounds.append(timed_since(start))
+        host.sample()
     rss_mb = peak_rss_mb()              # before the checks allocate
 
     layers = layer_metrics(tracer, attempted)
     layers.update(engine_layers(counter_moves(before, engine.stats())))
     layers["core.train.final_loss"] = deployment.final_loss
+    layers["host.reference_ms"] = host.reference_ms
     parity = rebuild_parity(engine, tasks, deployment.bundle_path)
     f1, trivial, queries = answer_quality(engine, tasks)
-    return Outcome(
-        metrics={
-            "setup_s": setup_s,
+
+    def timings(seconds_of: Callable[[List[Timed]], List[float]]):
+        return {
+            "setup_s": statistics.median(seconds_of(setups)),
             "peak_rss_mb": rss_mb,
             "answer_f1": f1,
             "throughput_per_s": (1 + size.queries_per_round)
-            / statistics.median(round_seconds),
-            "latency_ms": statistics.median(delta_seconds) * 1e3,
-            "cold_ms": statistics.median(read_after_write) * 1e3,
-        },
+            / statistics.median(seconds_of(rounds)),
+            "latency_ms": statistics.median(seconds_of(deltas)) * 1e3,
+            "cold_ms": statistics.median(seconds_of(read_after_write)) * 1e3,
+        }
+
+    return Outcome(
+        metrics=timings(host.scale),
         layers=layers,
         checks={
             "f1_beats_all_members": f1 > trivial,
@@ -789,7 +871,8 @@ def run_churn(seed: int, seconds: float, tracer: Optional[Tracer],
         },
         attempted=attempted, failed=failed,
         notes={"trivial_f1": trivial, "f1_queries": queries,
-               "rounds": len(round_seconds), "unit": "op"})
+               "rounds": len(rounds), "unit": "op",
+               **host_notes(host, timings(durations))})
 
 
 RUNNERS = {"train": run_train, "serve": run_serve, "churn": run_churn}
