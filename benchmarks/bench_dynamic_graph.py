@@ -49,7 +49,7 @@ from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
 from repro.graph import Graph, GraphDelta
 from repro.gnn.conv import graph_ops
-from repro.nn.backend import precision
+from repro.nn.backend import policy
 from repro.tasks import QueryExample, Task
 from repro.utils import make_rng
 
@@ -268,7 +268,7 @@ def _ops_equal(a, b) -> bool:
 
 
 def run_stream(params: Dict) -> Dict:
-    with precision("float32"):
+    with policy(dtype="float32"):
         deltas = make_delta_stream(params)
         repair_record, repair_probs = stream_leg(True, params, deltas)
         baseline_record, baseline_probs = stream_leg(False, params, deltas)

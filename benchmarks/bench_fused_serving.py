@@ -47,8 +47,7 @@ from conftest import peak_rss_bytes
 from repro.api import CommunitySearchEngine, ModelBundle
 from repro.core import CGNP, CGNPConfig, task_batch_loss
 from repro.datasets import clear_cache, load_dataset
-from repro.nn.backend import (available_backends, fused_inference,
-                              make_backend, precision, use_backend)
+from repro.nn.backend import available_backends, make_backend, policy
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.tasks import ScenarioConfig, TaskSampler, make_scenario
 from repro.utils import make_rng
@@ -118,7 +117,7 @@ def run_epochs(model: CGNP, tasks, epochs: int, rng,
 
 def build_serving_fixture(params: Dict, conv: str, seed: int = 0):
     """A float32-trained bundle plus ``serve_tasks`` held-out sessions."""
-    with precision("float32"):
+    with policy(dtype="float32"):
         clear_cache()
         tasks = build_tasks(params, seed=seed)
         model = CGNP(tasks[0].features().shape[1],
@@ -159,9 +158,9 @@ def time_fused_serving(bundle: ModelBundle, serve_tasks, params: Dict,
                for _ in range(params["serve_rounds"])]
     results: Dict[str, Dict] = {}
     probabilities = {}
-    with use_backend(backend), precision("float32"):
+    with policy(backend=backend, dtype="float32"):
         for label, enabled in (("unfused", False), ("fused", True)):
-            with fused_inference(enabled):
+            with policy(fused=enabled):
                 engine = CommunitySearchEngine.from_bundle(bundle,
                                                            dtype="float32")
                 engine.attach_many(serve_tasks)       # warm every cache
@@ -218,7 +217,7 @@ def measure_context_storage(bundle: ModelBundle, serve_tasks,
     probe = rng.integers(0, last.graph.num_nodes, size=params["serve_batch"])
     per_width: Dict[str, Dict] = {}
     reference = None
-    with precision("float32"):
+    with policy(dtype="float32"):
         for storage in STORAGE_WIDTHS:
             engine = CommunitySearchEngine.from_bundle(
                 bundle, dtype="float32", context_storage=storage,

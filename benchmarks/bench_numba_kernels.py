@@ -51,7 +51,7 @@ from repro.datasets import clear_cache, load_dataset
 from repro.gnn.conv import GATConv, graph_ops
 from repro.graph import attributed_community_graph
 from repro.nn.backend import (NumpyBackend, available_backends, make_backend,
-                              index_precision, precision, use_backend)
+                              policy)
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.tasks import ScenarioConfig, TaskSampler, make_scenario
@@ -120,12 +120,12 @@ def time_edge_path(params: Dict, numba_backend) -> Dict:
         out.sum().backward()
         return out.data
 
-    with use_backend(NumpyBackend()):
+    with policy(backend=NumpyBackend()):
         reference = forward_backward()
         numpy_seconds = _best_time(forward_backward, params["edge_repeats"])
     print(f"  edge[numpy] {numpy_seconds * 1e3:8.1f} ms")
 
-    with use_backend(numba_backend):
+    with policy(backend=numba_backend):
         cold_start = time.perf_counter()
         result = forward_backward()
         cold_seconds = time.perf_counter() - cold_start
@@ -151,7 +151,7 @@ def run_raw_kernels(params: Dict, numba_backend) -> Dict:
     rng = np.random.default_rng(3)
     nodes = params["edge_nodes"]
     edges = nodes * params["edge_degree"]
-    with precision("float32"), index_precision("int32"):
+    with policy(dtype="float32", index_dtype="int32"):
         ops, _, _ = build_edge_fixture(params, seed=4)
     dense = rng.standard_normal(
         (nodes, params["edge_hidden"])).astype(np.float32)
@@ -234,7 +234,7 @@ def run_epochs(model: CGNP, tasks, epochs: int, rng,
 
 
 def time_serving(params: Dict, numba_backend) -> List[Dict]:
-    with precision("float32"):
+    with policy(dtype="float32"):
         clear_cache()
         tasks = build_tasks(params)
         model = build_model(tasks, params)
@@ -257,7 +257,7 @@ def time_serving(params: Dict, numba_backend) -> List[Dict]:
     probabilities = {}
     for label, backend in (("numpy", NumpyBackend()),
                            ("numba", numba_backend)):
-        with use_backend(backend), precision("float32"):
+        with policy(backend=backend, dtype="float32"):
             engine = CommunitySearchEngine.from_bundle(bundle, dtype="float32")
             engine.attach(serve_task)
             for batch in batches[:2]:      # warm-up (and JIT, for numba)

@@ -4,8 +4,8 @@ Measures, on the synthetic SGSC smoke config:
 
 * **meta-training throughput** (tasks/second): the same task set, model
   seed and mini-batch schedule run once fully under
-  ``precision("float64")`` and once under ``precision("float32")`` — the
-  whole pipeline (task materialisation, adjacency operators, encoder,
+  ``policy(dtype="float64")`` and once under ``policy(dtype="float32")`` —
+  the whole pipeline (task materialisation, adjacency operators, encoder,
   decoder, Adam) executes at the policy width;
 * **serving throughput** (queries/second): one float64-trained model is
   bundled and then served through
@@ -41,7 +41,7 @@ from repro.api import CommunitySearchEngine, ModelBundle
 from repro.core import CGNP, CGNPConfig, task_batch_loss
 from repro.datasets import clear_cache
 from repro.eval.metrics import community_metrics
-from repro.nn.backend import precision
+from repro.nn.backend import policy
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.tasks import ScenarioConfig, TaskSampler, make_scenario
 from repro.datasets import load_dataset
@@ -101,7 +101,7 @@ def run_epochs(model: CGNP, tasks, epochs: int, rng, task_batch_size: int) -> in
 
 def time_training(dtype: str, params: Dict, repeats: int = 3) -> Dict:
     """Tasks/second of the full meta-training loop at ``dtype``."""
-    with precision(dtype):
+    with policy(dtype=dtype):
         clear_cache()  # materialise the dataset graph at this policy
         tasks = build_tasks(params)
         # Warm-up epoch on a throwaway model fills feature / operator /
@@ -127,7 +127,7 @@ def time_training(dtype: str, params: Dict, repeats: int = 3) -> Dict:
 
 def build_serving_fixture(params: Dict, seed: int = 0):
     """A float64-trained bundle plus a larger held-out serving task."""
-    with precision("float64"):
+    with policy(dtype="float64"):
         clear_cache()
         tasks = build_tasks(params, seed=seed)
         model = build_model(tasks, params)

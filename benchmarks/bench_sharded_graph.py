@@ -51,7 +51,7 @@ from conftest import peak_rss_bytes
 from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
 from repro.graph import Graph, ShardedGraph, graph_memory_profile
-from repro.nn.backend import precision
+from repro.nn.backend import policy
 from repro.tasks import QueryExample, Task
 from repro.utils import make_rng
 
@@ -249,7 +249,7 @@ def run_probe(mode: str, params: Dict, budget_mb: int,
                     "ok": False}
     result["budget_enforced"] = _enforce_budget(budget)
     try:
-        with precision("float32"):
+        with policy(dtype="float32"):
             edges = locality_edges(params["nodes"], params["edges"],
                                    params["window"])
             start = time.perf_counter()
@@ -341,7 +341,7 @@ def run_both_fit_leg(params: Dict) -> Dict:
     """Dense vs sharded throughput where both fit (no cap)."""
     workdir = memmap_workdir()
     try:
-        with precision("float32"):
+        with policy(dtype="float32"):
             edges = locality_edges(params["nodes"], params["edges"],
                                    params["window"])
             attributes = feature_block(0, params["nodes"], params["dim"])
@@ -375,7 +375,7 @@ def run_tiny_leg(params: Dict) -> Dict:
     """CI leg: bitwise parity + >= 2x resident-bytes reduction."""
     workdir = memmap_workdir()
     try:
-        with precision("float32"):
+        with policy(dtype="float32"):
             edges = locality_edges(params["nodes"], params["edges"],
                                    params["window"])
             attributes = feature_block(0, params["nodes"], params["dim"])

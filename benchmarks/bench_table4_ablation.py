@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import MethodSpec, create_method
 from repro.eval import (
-    build_method,
     evaluate_method,
     format_metric_table,
     run_ablation,
@@ -70,7 +70,8 @@ def test_structural_feature_ablation(benchmark, profile):
             for task in tasks.train + tasks.valid + tasks.test:
                 task.use_structural = use_structural
                 task._features = None  # invalidate cache
-            method = build_method("CGNP-IP", profile, seed=3)
+            method = create_method(
+                MethodSpec.from_profile("CGNP-IP", profile, seed=3))
             method.name = f"CGNP-IP[{label}]"
             outcomes.append(evaluate_method(method, tasks,
                                             np.random.default_rng(3)))

@@ -46,8 +46,7 @@ from repro.api import CommunitySearchEngine, ModelBundle
 from repro.core import CGNP, CGNPConfig, task_batch_loss
 from repro.datasets import clear_cache, load_dataset
 from repro.graph import stack_csr
-from repro.nn.backend import (NumpyBackend, ThreadedBackend, index_precision,
-                              precision, use_backend)
+from repro.nn.backend import NumpyBackend, ThreadedBackend, policy
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.tasks import ScenarioConfig, TaskSampler, make_scenario
 from repro.utils import make_rng
@@ -86,7 +85,7 @@ def build_raw_operators(params: Dict, seed: int = 0):
     rng = np.random.default_rng(seed)
     n, degree = params["raw_nodes"], params["raw_degree"]
     block_count = params["raw_blocks"]
-    with index_precision("int32"):
+    with policy(index_dtype="int32"):
         block_size = n // block_count
         blocks = []
         for _ in range(block_count):
@@ -207,11 +206,11 @@ def _backends(threads: int):
 def time_training(params: Dict, threads: int, repeats: int = 3) -> List[Dict]:
     """Tasks/second of the float32 mini-batched loop under each backend."""
     results = []
-    with precision("float32"):
+    with policy(dtype="float32"):
         clear_cache()
         tasks = build_tasks(params)
         for label, backend in _backends(threads):
-            with use_backend(backend):
+            with policy(backend=backend):
                 run_epochs(build_model(tasks, params), tasks, 1, make_rng(0),
                            params["task_batch_size"])  # warm caches
                 best = None
@@ -235,7 +234,7 @@ def time_training(params: Dict, threads: int, repeats: int = 3) -> List[Dict]:
 
 def build_serving_fixture(params: Dict, seed: int = 0):
     """A float32-trained bundle plus a larger held-out serving task."""
-    with precision("float32"):
+    with policy(dtype="float32"):
         clear_cache()
         tasks = build_tasks(params, seed=seed)
         model = build_model(tasks, params)
@@ -264,7 +263,7 @@ def time_serving(bundle: ModelBundle, task, params: Dict,
                             size=params["serve_batch"])
                for _ in range(params["serve_rounds"])]
     for label, backend in _backends(threads):
-        with use_backend(backend), precision("float32"):
+        with policy(backend=backend, dtype="float32"):
             engine = CommunitySearchEngine.from_bundle(bundle, dtype="float32")
             engine.attach(task)
             for batch in batches[:2]:      # warm-up

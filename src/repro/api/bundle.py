@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..core.model import CGNP, CGNPConfig
-from ..nn.backend import (get_backend, precision, resolve_dtype,
+from ..nn.backend import (get_backend, policy, resolve_dtype,
                           resolve_index_dtype)
 from ..nn.serialize import load_state, save_state
 from ..utils import make_rng
@@ -255,7 +255,7 @@ class ModelBundle:
                 "config= and in_dim= explicitly (or re-save the model as a "
                 "ModelBundle)")
         target = resolve_dtype(dtype if dtype is not None else self.dtype)
-        with precision(target):
+        with policy(dtype=target):
             model = CGNP(int(in_dim), config,
                          rng if rng is not None else make_rng(0))
         model.load_state_dict(self.state)  # casts weights to the target dtype

@@ -120,7 +120,7 @@ class EngineStats:
     ``backend`` names the :class:`~repro.nn.backend.ArrayBackend` the
     engine's kernels dispatch through — :meth:`CommunitySearchEngine.stats`
     fills it from the active backend at snapshot time, so a scoped
-    ``use_backend(...)`` override shows up in the snapshot it applies to.
+    ``policy(backend=...)`` override shows up in the snapshot it applies to.
 
     ``decode_calls`` counts decoder *passes* (a coalesced
     :meth:`CommunitySearchEngine.predict_proba_many` call is one pass

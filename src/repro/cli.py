@@ -34,7 +34,6 @@ pre-gateway single-query loop across arrival rates.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import List, Optional
 
@@ -42,8 +41,7 @@ import numpy as np
 
 from .api import CommunitySearchEngine, ModelBundle, available_methods
 from .core import CGNP, CGNPConfig, MetaTrainConfig, meta_train
-from .nn.backend import (available_backends, index_precision, make_backend,
-                         precision, use_backend)
+from .nn.backend import available_backends, make_backend, policy
 from .datasets import dataset_names, load_dataset
 from .eval import (
     PROFILES,
@@ -131,26 +129,25 @@ def _shard_task(task, args: argparse.Namespace):
                 use_structural=task.use_structural)
 
 
-def _policy_scopes(args: argparse.Namespace) -> List:
-    """Context managers for the requested backend/index overrides.
+def _policy_scope(args: argparse.Namespace, **overrides):
+    """The ``policy(...)`` scope for the backend/index flags (plus
+    ``overrides``).
 
-    Flags left at ``None`` contribute nothing, keeping the ambient
-    process policies in force.  Raises ``ValueError`` on inconsistent
-    combinations (``--num-threads`` without ``--backend threaded``).
+    Flags left at ``None`` override nothing, keeping the ambient process
+    policy in force.  Raises ``ValueError`` on inconsistent combinations
+    (``--num-threads`` without ``--backend threaded``).
     """
-    scopes: List = []
     if args.num_threads is not None and args.backend not in ("threaded",
                                                              "numba"):
         raise ValueError(
             "--num-threads only applies to --backend threaded or numba")
+    backend = None
     if args.backend is not None:
         options = {}
         if args.num_threads is not None:
             options["num_threads"] = args.num_threads
-        scopes.append(use_backend(make_backend(args.backend, **options)))
-    if args.index_dtype is not None:
-        scopes.append(index_precision(args.index_dtype))
-    return scopes
+        backend = make_backend(args.backend, **options)
+    return policy(backend=backend, index_dtype=args.index_dtype, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,14 +477,11 @@ def _cmd_select_train(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
-        scopes = _policy_scopes(args)
+        scope = _policy_scope(args, dtype=args.dtype)
     except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(precision(args.dtype))
-        for scope in scopes:
-            stack.enter_context(scope)
+    with scope:
         # The whole pipeline — task materialisation, model init, training —
         # runs under the requested policies, so a float32/int32 run never
         # touches a float64 array or an int64 index, and every kernel
@@ -509,7 +503,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                            MetaTrainConfig(epochs=args.epochs,
                                            task_batch_size=args.task_batch_size),
                            rng, valid_tasks=tasks.valid)
-        # Snapshot inside the policy scopes so the bundle header records
+        # Snapshot inside the policy scope so the bundle header records
         # the backend and index width the run actually executed under.
         bundle = ModelBundle.from_model(model, provenance={
             "dataset": args.dataset,
@@ -555,13 +549,11 @@ def _legacy_config(args: argparse.Namespace) -> CGNPConfig:
 def _cmd_query(args: argparse.Namespace) -> int:
     _warn_deprecated_query_flags(args)
     try:
-        scopes = _policy_scopes(args)
+        scope = _policy_scope(args)
     except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with scope:
         return _run_query(args)
 
 
@@ -682,13 +674,11 @@ def _gateway_config(args: argparse.Namespace) -> GatewayConfig:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
-        scopes = _policy_scopes(args)
+        scope = _policy_scope(args)
     except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with scope:
         fixture = _serving_fixture(args)
         if fixture is None:
             return 2
@@ -721,7 +711,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     try:
-        scopes = _policy_scopes(args)
+        scope = _policy_scope(args)
         rates = [float(r) for r in args.rates.split(",") if r.strip()]
     except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -730,9 +720,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print("error: --rates must name at least one arrival rate",
               file=sys.stderr)
         return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with scope:
         fixture = _serving_fixture(args)
         if fixture is None:
             return 2

@@ -146,7 +146,7 @@ class GNNEncoder(Module):
         """Whether the fused inference kernels may dispatch right now.
 
         All three conditions are required: the policy switch is on
-        (``REPRO_FUSED`` / ``fused_inference``), the module is in eval
+        (``REPRO_FUSED`` / ``policy(fused=...)``), the module is in eval
         mode (dropout is identity, so skipping it is exact), and no
         gradient tape is recording (the fused kernels have no VJPs).
         Training numerics can therefore never change under this flag.

@@ -138,7 +138,7 @@ class Graph(OpsCache):
 
         if attributes is not None:
             # Attribute storage adopts the ambient precision policy, so a
-            # graph materialised inside ``with precision("float32")`` feeds
+            # graph materialised inside ``with policy(dtype="float32")`` feeds
             # float32 features to the models without per-forward casts.
             attributes = np.asarray(attributes, dtype=resolve_dtype())
             if attributes.shape[0] != self.num_nodes:

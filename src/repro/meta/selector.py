@@ -23,7 +23,7 @@ The fitted selector persists as a versioned npz artifact mirroring
 keys, a JSON header (format tag, version, feature names, method
 vocabulary, standardization moments) under a reserved key, a version
 guard on load.  Training and inference run inside a
-``precision("float64")`` scope so the artifact and its scores are
+``policy(dtype="float64")`` scope so the artifact and its scores are
 identical under every ambient ``REPRO_DTYPE``.
 """
 
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..nn import MLP, Adam, mse_loss
-from ..nn.backend import precision
+from ..nn.backend import policy
 from ..nn.serialize import load_state, save_state
 from ..nn.tensor import Tensor, no_grad
 from .features import META_FEATURE_NAMES, feature_vector
@@ -128,7 +128,7 @@ class MethodSelector:
         method_index = np.array([self.methods.index(n) for n in names])
         target = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
 
-        with precision("float64"):
+        with policy(dtype="float64"):
             inputs = self._input_matrix(features, method_index)
             in_dim = inputs.shape[1]
             self._model = MLP([in_dim, self.hidden_dim, 1], rng)
@@ -168,7 +168,7 @@ class MethodSelector:
         vector = (features if isinstance(features, np.ndarray)
                   else feature_vector(features))
         index = np.array([self.methods.index(name) for name in chosen])
-        with precision("float64"):
+        with policy(dtype="float64"):
             inputs = self._input_matrix(
                 np.repeat(vector[None, :], len(chosen), axis=0), index)
             with no_grad():
@@ -249,7 +249,7 @@ class MethodSelector:
         selector.train_records = int(header.get("train_records", 0))
         selector.trained_at = float(header.get("trained_at", 0.0))
         in_dim = len(selector.feature_names) + len(selector.methods)
-        with precision("float64"):
+        with policy(dtype="float64"):
             selector._model = MLP([in_dim, selector.hidden_dim, 1],
                                   np.random.default_rng(0))
             selector._model.load_state_dict(state)

@@ -3,7 +3,7 @@
 Replaces PyTorch for this reproduction: reverse-mode autodiff over numpy,
 dense layers, sparse message-passing primitives, optimisers and losses.
 The element width and the executing kernels are governed by
-:mod:`repro.nn.backend` (precision policy + pluggable array backend).
+:mod:`repro.nn.backend` (one numeric ``Policy`` + pluggable array backend).
 """
 
 from . import backend
@@ -12,14 +12,12 @@ from . import init
 from .backend import (
     ArrayBackend,
     NumpyBackend,
-    Precision,
+    Policy,
     default_dtype,
     get_backend,
-    precision,
+    policy,
     resolve_dtype,
-    set_backend,
-    set_default_dtype,
-    use_backend,
+    set_policy,
 )
 from .layers import MLP, Dropout, Identity, Linear, Sequential
 from .loss import bce_loss, bce_with_logits, masked_bce_with_logits, mse_loss
@@ -35,14 +33,12 @@ __all__ = [
     "init",
     "ArrayBackend",
     "NumpyBackend",
-    "Precision",
-    "precision",
+    "Policy",
+    "policy",
+    "set_policy",
     "default_dtype",
-    "set_default_dtype",
     "resolve_dtype",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "Tensor",
     "as_tensor",
     "no_grad",

@@ -1,48 +1,60 @@
-"""Precision policies and the pluggable array backend.
+"""The numeric and serving policy, and the pluggable array backend.
 
-This module is the single source of truth for three cross-cutting
-numerical choices that used to be hardwired all over the stack:
+This module is the single source of truth for the process-wide choices
+that used to be hardwired all over the stack.  They live together in one
+frozen :class:`Policy`:
 
-* **Which element width to compute in.**  The CGNP hot path (spmm and
-  dense matmul) is memory-bandwidth-bound, so halving the element width
-  is a direct throughput win.  The :class:`Precision` policy holds the
-  ambient dtype (``float32`` or ``float64``); every layer that creates
+* ``dtype`` — **which element width to compute in.**  The CGNP hot path
+  (spmm and dense matmul) is memory-bandwidth-bound, so halving the
+  element width is a direct throughput win.  Every layer that creates
   arrays — tensors, initialisers, normalised adjacencies, feature
   matrices — resolves its dtype through :func:`resolve_dtype` instead of
-  naming ``np.float64``.  The process-wide default is ``float64`` (so the
-  numeric-equivalence test suite stays exact) and can be overridden
-  per-context with ``with precision("float32"):`` or process-wide via the
-  ``REPRO_DTYPE`` environment variable / :func:`set_default_dtype`.
+  naming ``np.float64``.  The default is ``float64`` (so the
+  numeric-equivalence test suite stays exact).
 
-* **Which index width sparse structure uses.**  Edge lists, CSR
-  ``indices``/``indptr`` and gather/scatter/segment index arrays never
-  need to address more than 2^31 nodes in this repository, so they
-  default to ``int32`` — halving the index bandwidth of every sparse
-  op.  The index policy mirrors the element policy exactly:
-  :func:`resolve_index_dtype` is the one call every index-creating site
-  makes, ``with index_precision("int64"):`` scopes an override, and
-  ``REPRO_INDEX_DTYPE`` / :func:`set_default_index_dtype` set the
-  process default.  Index width never changes computed *values* — only
-  the width of the bookkeeping arrays — so switching it is always
-  numerically safe.
+* ``index_dtype`` — **which index width sparse structure uses.**  Edge
+  lists, CSR ``indices``/``indptr`` and gather/scatter/segment index
+  arrays never need to address more than 2^31 nodes in this repository,
+  so they default to ``int32`` — halving the index bandwidth of every
+  sparse op.  :func:`resolve_index_dtype` is the one call every
+  index-creating site makes.  Index width never changes computed
+  *values*, only the width of the bookkeeping arrays, so switching it is
+  always numerically safe.
 
-* **Which array library executes the dense/sparse kernels.**  The
-  :class:`ArrayBackend` protocol gathers the operations the autograd
-  engine actually dispatches — dense matmul, sparse-dense matmul, the
-  gather / scatter-add / segment-softmax edge ops of the GAT path, array
-  creation, RNG construction — behind one object.  The default
-  :class:`NumpyBackend` runs on NumPy + SciPy; :class:`ThreadedBackend`
-  partitions spmm row ranges across a reusable thread pool (SciPy's CSR
-  kernels release the GIL, so the partitions genuinely run in parallel
-  on multi-core machines); :class:`NumbaBackend` JIT-compiles the spmm
-  and edge-path hot loops (:mod:`repro.nn.kernels_numba`, imported
-  lazily so the default install never needs the numba wheel).  Backends
-  are installed with :func:`set_backend` / ``with use_backend(...)`` —
-  both accept a registered name (``"numpy"``, ``"threaded"``,
-  ``"numba"``) or an instance — and the process default comes from the
-  ``REPRO_BACKEND`` environment variable.  :func:`available_backends`
-  maps every registered name to whether its dependencies are installed,
-  so callers can probe optional backends without try/except.
+* ``backend`` — **which array library executes the dense/sparse
+  kernels.**  The :class:`ArrayBackend` protocol gathers the operations
+  the autograd engine actually dispatches — dense matmul, sparse-dense
+  matmul, the gather / scatter-add / segment-softmax edge ops of the GAT
+  path, array creation, RNG construction — behind one object.  The
+  default :class:`NumpyBackend` runs on NumPy + SciPy;
+  :class:`ThreadedBackend` partitions spmm row ranges across a reusable
+  thread pool (SciPy's CSR kernels release the GIL, so the partitions
+  genuinely run in parallel on multi-core machines); :class:`NumbaBackend`
+  JIT-compiles the spmm and edge-path hot loops
+  (:mod:`repro.nn.kernels_numba`, imported lazily so the default install
+  never needs the numba wheel).  The field takes a registered name
+  (``"numpy"``, ``"threaded"``, ``"numba"``) or an instance;
+  :func:`available_backends` maps every registered name to whether its
+  dependencies are installed, so callers can probe optional backends
+  without try/except.
+
+* ``context_storage`` — the width the serving engine caches context
+  matrices at (``full`` or a narrower float/int8 width).  It sits in the
+  same policy because it is read per engine from the same process
+  settings and scopes as the others (:func:`resolve_context_storage`).
+
+* ``fused`` — whether eval-mode, no-grad forwards may run the fused
+  ``spmm → bias → activation`` kernels (:func:`fused_inference_enabled`).
+
+:meth:`Policy.from_env` builds the process policy once, at import, from
+``REPRO_DTYPE``, ``REPRO_INDEX_DTYPE``, ``REPRO_BACKEND`` (sized by
+``REPRO_NUM_THREADS``), ``REPRO_CONTEXT_STORAGE`` and ``REPRO_FUSED``.
+:func:`set_policy` replaces it for every thread; ``with policy(...):``
+overrides named fields for the calling thread only, while the fields it
+does not name keep following the process policy.  The hot path reads
+the effective values through :func:`get_backend`, :func:`default_dtype`,
+:func:`default_index_dtype`, :func:`default_context_storage` and
+:func:`fused_inference_enabled` — each one thread-local read.
 
 Cache-key convention
 --------------------
@@ -53,19 +65,24 @@ are memoised under ``(op, elem_dtype, index_dtype)`` keys spelled
 :class:`~repro.graph.graph.OpsCache`.  ``invalidate_cached_ops("<op>")``
 drops every dtype variant of the family at once.
 
->>> with precision("float32"):
+>>> with policy(dtype="float32"):
 ...     resolve_dtype().name
 'float32'
 >>> resolve_index_dtype("int64").name
 'int64'
->>> with use_backend("threaded"):
+>>> with policy(backend="threaded"):
 ...     get_backend().name
 'threaded'
+>>> with policy(fused=False):
+...     fused_inference_enabled()
+False
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -84,18 +101,14 @@ __all__ = [
     "SUPPORTED_INDEX_DTYPES",
     "SUPPORTED_CONTEXT_STORAGE",
     "FUSED_ACTIVATIONS",
-    "Precision",
-    "precision",
-    "index_precision",
-    "context_storage",
-    "fused_inference",
+    "Policy",
+    "policy",
+    "set_policy",
+    "get_policy",
+    "get_backend",
     "default_dtype",
     "default_index_dtype",
     "default_context_storage",
-    "set_default_dtype",
-    "set_default_index_dtype",
-    "set_default_context_storage",
-    "set_fused_inference",
     "fused_inference_enabled",
     "resolve_dtype",
     "resolve_index_dtype",
@@ -110,9 +123,6 @@ __all__ = [
     "backend_names",
     "register_backend",
     "make_backend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]
 
 #: The element widths the stack supports end to end.
@@ -133,13 +143,11 @@ SUPPORTED_CONTEXT_STORAGE = ("full", "float32", "float16", "int8")
 #: ≤1e-12 relative on JIT paths (transcendental ulps).
 FUSED_ACTIVATIONS = (None, "relu", "elu")
 
-DTypeLike = Union[str, type, np.dtype, "Precision"]
+DTypeLike = Union[str, type, np.dtype]
 
 
 def _canonical_dtype(dtype: DTypeLike) -> np.dtype:
     """Validate and normalise ``dtype`` to a numpy dtype object."""
-    if isinstance(dtype, Precision):
-        return dtype.dtype
     try:
         resolved = np.dtype(dtype)
     except TypeError as exc:
@@ -170,68 +178,6 @@ def _canonical_index_dtype(dtype: DTypeLike) -> np.dtype:
     return resolved
 
 
-class Precision:
-    """A value object naming one supported element width.
-
-    Mostly used through the module-level helpers (:func:`precision`,
-    :func:`resolve_dtype`), but passing a ``Precision`` anywhere a dtype
-    is accepted also works.
-
-    >>> Precision("float32").name
-    'float32'
-    >>> Precision(np.float64) == Precision("float64")
-    True
-    >>> Precision("fp8")
-    Traceback (most recent call last):
-        ...
-    ValueError: unsupported precision 'fp8'; choose from ('float32', 'float64')
-    """
-
-    __slots__ = ("dtype",)
-
-    def __init__(self, dtype: DTypeLike):
-        self.dtype = _canonical_dtype(dtype)
-
-    @property
-    def name(self) -> str:
-        return self.dtype.name
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Precision):
-            return self.dtype == other.dtype
-        try:
-            return self.dtype == _canonical_dtype(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return f"Precision({self.name!r})"
-
-
-def _precision_from_env() -> Precision:
-    """The process default from ``REPRO_DTYPE``, failing with a message
-    that names the environment variable (this runs at import time)."""
-    value = os.environ.get("REPRO_DTYPE", "float64")
-    try:
-        return Precision(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_DTYPE environment variable: {exc}") from exc
-
-
-def _index_dtype_from_env() -> np.dtype:
-    """The process default from ``REPRO_INDEX_DTYPE`` (default int32)."""
-    value = os.environ.get("REPRO_INDEX_DTYPE", "int32")
-    try:
-        return _canonical_index_dtype(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_INDEX_DTYPE environment variable: {exc}") from exc
-
-
 def _canonical_context_storage(value: str) -> str:
     """Validate and normalise a context-storage policy name."""
     key = str(value).strip().lower()
@@ -242,131 +188,220 @@ def _canonical_context_storage(value: str) -> str:
     return key
 
 
-def _context_storage_from_env() -> str:
-    """The process default from ``REPRO_CONTEXT_STORAGE`` (default full)."""
-    value = os.environ.get("REPRO_CONTEXT_STORAGE", "full")
-    try:
-        return _canonical_context_storage(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_CONTEXT_STORAGE environment variable: "
-            f"{exc}") from exc
-
-
-def _fused_from_env() -> bool:
-    """The process default from ``REPRO_FUSED`` (default on)."""
-    value = os.environ.get("REPRO_FUSED", "1").strip().lower()
-    if value in ("1", "true", "on", "yes"):
+def _canonical_fused(value) -> bool:
+    """A fused-inference switch: a bool, or a word ``REPRO_FUSED`` takes."""
+    if not isinstance(value, str):
+        return bool(value)
+    key = value.strip().lower()
+    if key in ("1", "true", "on", "yes"):
         return True
-    if value in ("0", "false", "off", "no"):
+    if key in ("0", "false", "off", "no"):
         return False
     raise ValueError(
-        f"invalid REPRO_FUSED environment variable: {value!r} "
-        f"(use 1/0, on/off, true/false)")
+        f"unsupported fused setting {value!r} (use 1/0, on/off, true/false)")
 
 
-#: Process-wide default precision; ``precision(...)`` overrides are
-#: per-thread, but this base is shared so ``set_default_dtype`` is
-#: visible from worker threads too.
-_PROCESS_DEFAULT_PRECISION = _precision_from_env()
-
-#: Process-wide default index width (same sharing rules as above).
-_PROCESS_DEFAULT_INDEX_DTYPE = _index_dtype_from_env()
-
-#: Process-wide default cache width for serving contexts.
-_PROCESS_DEFAULT_CONTEXT_STORAGE = _context_storage_from_env()
-
-#: Process-wide switch for the fused inference kernels (the kill switch
-#: is ``REPRO_FUSED=0``; fusion never applies when gradients are on).
-_PROCESS_FUSED_INFERENCE = _fused_from_env()
+def _canonical_backend(backend: Union[str, "ArrayBackend"]) -> "ArrayBackend":
+    """A backend instance, built fresh from a registered name."""
+    if isinstance(backend, str):
+        return make_backend(backend)
+    if not isinstance(backend, ArrayBackend):
+        raise TypeError(
+            f"expected an ArrayBackend or a registered backend name, got "
+            f"{type(backend).__name__}")
+    return backend
 
 
-class _PolicyState(threading.local):
-    """Per-thread stacks of scoped policy overrides."""
+@dataclasses.dataclass(frozen=True)
+class Policy:
+    """The process-wide numeric and serving settings, as one value.
 
-    def __init__(self):
-        self.stack = []
-        self.index_stack = []
-        self.storage_stack = []
-        self.fused_stack = []
+    ``dtype`` is the element width arrays are created at, ``index_dtype``
+    the width of sparse structure and gather/scatter indices,
+    ``backend`` the :class:`ArrayBackend` kernels dispatch through,
+    ``context_storage`` the width the serving engine caches contexts at
+    and ``fused`` whether inference may use the fused kernels.  Every
+    field is validated and normalised on construction: dtype names
+    become numpy dtypes and a backend name becomes a fresh instance.
+
+    >>> p = Policy(dtype="float32", index_dtype="int64", backend="numpy",
+    ...            context_storage="int8", fused=False)
+    >>> (p.dtype.name, p.index_dtype.name, p.backend.name,
+    ...  p.context_storage, p.fused)
+    ('float32', 'int64', 'numpy', 'int8', False)
+    >>> Policy.from_env().dtype == np.dtype(os.environ.get("REPRO_DTYPE",
+    ...                                                    "float64"))
+    True
+    """
+
+    dtype: np.dtype
+    index_dtype: np.dtype
+    backend: "ArrayBackend"
+    context_storage: str
+    fused: bool
+
+    def __post_init__(self):
+        for field, canonical in _CANONICAL.items():
+            object.__setattr__(self, field, canonical(getattr(self, field)))
+
+    @classmethod
+    def from_env(cls) -> "Policy":
+        """The policy the ``REPRO_*`` environment variables describe.
+
+        Unset variables take the defaults float64 / int32 / numpy / full
+        / on.  A bad value raises ``ValueError`` naming its variable.  A
+        ``REPRO_BACKEND`` whose optional dependency is missing raises
+        ``ImportError`` instead of silently running on numpy, so a
+        serving fleet never loses its JIT without noticing.
+        """
+        values = {}
+        for field, (variable, default) in _ENV_VARIABLES.items():
+            value = os.environ.get(variable, default)
+            try:
+                # The backend name is only looked up here; building it
+                # comes after, so a REPRO_NUM_THREADS error names its
+                # own variable.
+                values[field] = (_backend_factory(value) if field == "backend"
+                                 else _CANONICAL[field](value))
+            except ValueError as exc:
+                raise ValueError(
+                    f"invalid {variable} environment variable: {exc}") from exc
+        try:
+            values["backend"] = values["backend"]()
+        except ImportError as exc:
+            name = os.environ.get("REPRO_BACKEND")
+            raise ImportError(
+                f"REPRO_BACKEND={name} needs an optional dependency ({exc}); "
+                f"install it, or unset REPRO_BACKEND to use the default "
+                f"numpy backend") from exc
+        return cls(**values)
 
 
-_POLICY = _PolicyState()
+#: Each field's validator; it also normalises values given to
+#: :func:`set_policy` and :func:`policy`.
+_CANONICAL: Dict[str, Callable] = {
+    "dtype": _canonical_dtype,
+    "index_dtype": _canonical_index_dtype,
+    "backend": _canonical_backend,
+    "context_storage": _canonical_context_storage,
+    "fused": _canonical_fused,
+}
+
+#: Each field's environment variable and its default.
+_ENV_VARIABLES = {
+    "dtype": ("REPRO_DTYPE", "float64"),
+    "index_dtype": ("REPRO_INDEX_DTYPE", "int32"),
+    "backend": ("REPRO_BACKEND", "numpy"),
+    "context_storage": ("REPRO_CONTEXT_STORAGE", "full"),
+    "fused": ("REPRO_FUSED", "1"),
+}
 
 
-def default_dtype() -> np.dtype:
-    """The ambient policy dtype (innermost ``precision`` context wins,
-    falling back to the process-wide default)."""
-    stack = _POLICY.stack
-    return (stack[-1] if stack else _PROCESS_DEFAULT_PRECISION).dtype
+def _canonical_overrides(overrides) -> Dict[str, object]:
+    """``overrides`` validated; ``None`` values mean "leave as is"."""
+    unknown = sorted(set(overrides) - set(_CANONICAL))
+    if unknown:
+        raise TypeError(f"unknown policy field(s) {unknown}; choose from "
+                        f"{tuple(_CANONICAL)}")
+    return {field: _CANONICAL[field](value)
+            for field, value in overrides.items() if value is not None}
 
 
-def default_index_dtype() -> np.dtype:
-    """The ambient index dtype (innermost ``index_precision`` context
-    wins, falling back to the process-wide default)."""
-    stack = _POLICY.index_stack
-    return stack[-1] if stack else _PROCESS_DEFAULT_INDEX_DTYPE
+#: The fields one ``policy(...)`` scope overrides; ``None`` follows the
+#: process policy.
+_Overrides = collections.namedtuple(
+    "_Overrides", tuple(_CANONICAL), defaults=(None,) * len(_CANONICAL))
 
 
-def set_default_dtype(dtype: DTypeLike) -> None:
-    """Replace the process-wide default precision (all threads).
+class _ScopeState(threading.local):
+    """The calling thread's innermost ``policy(...)`` overrides."""
 
-    Prefer the scoped ``with precision(...):`` form; this setter exists
+    overrides = _Overrides()
+
+
+_SCOPE = _ScopeState()
+_SET_LOCK = threading.Lock()
+
+
+def get_policy() -> Policy:
+    """The process-wide policy, as :func:`set_policy` last left it.
+
+    Scoped overrides are per-thread and not part of it; the hot-path
+    readers (:func:`get_backend`, :func:`default_dtype`, ...) return the
+    values in effect for the calling thread.
+    """
+    return _PROCESS_POLICY
+
+
+def set_policy(base: Optional[Policy] = None, **overrides) -> Policy:
+    """Replace the process-wide policy (all threads) and return the old one.
+
+    The new policy is ``base`` (default: the current process policy)
+    with ``overrides`` applied, so ``set_policy(dtype="float32")``
+    changes one field and ``set_policy(saved)`` restores a policy saved
+    earlier.  Prefer the scoped ``with policy(...):`` form; this exists
     for process entry points (CLI, benchmarks, test harnesses).
     """
-    global _PROCESS_DEFAULT_PRECISION
-    _PROCESS_DEFAULT_PRECISION = Precision(dtype)
-
-
-def set_default_index_dtype(dtype: DTypeLike) -> None:
-    """Replace the process-wide default index width (all threads)."""
-    global _PROCESS_DEFAULT_INDEX_DTYPE
-    _PROCESS_DEFAULT_INDEX_DTYPE = _canonical_index_dtype(dtype)
-
-
-def default_context_storage() -> str:
-    """The ambient context-storage policy (innermost ``context_storage``
-    context wins, falling back to the process-wide default)."""
-    stack = _POLICY.storage_stack
-    return stack[-1] if stack else _PROCESS_DEFAULT_CONTEXT_STORAGE
-
-
-def set_default_context_storage(storage: str) -> None:
-    """Replace the process-wide default context cache width (all threads)."""
-    global _PROCESS_DEFAULT_CONTEXT_STORAGE
-    _PROCESS_DEFAULT_CONTEXT_STORAGE = _canonical_context_storage(storage)
-
-
-def resolve_context_storage(storage: Optional[str] = None) -> str:
-    """``storage`` normalised, or the ambient policy when ``None``.
-
-    The one call every context-caching site makes (the serving engine,
-    its ``from_bundle`` constructor and the CLI), mirroring
-    :func:`resolve_dtype` for element widths.
-
-    >>> resolve_context_storage()
-    'full'
-    >>> with context_storage("float16"):
-    ...     resolve_context_storage()
-    'float16'
-    >>> resolve_context_storage("int8")
-    'int8'
-    """
-    if storage is None:
-        return default_context_storage()
-    return _canonical_context_storage(storage)
+    global _PROCESS_POLICY
+    changes = _canonical_overrides(overrides)
+    with _SET_LOCK:
+        previous = _PROCESS_POLICY
+        _PROCESS_POLICY = dataclasses.replace(
+            previous if base is None else base, **changes)
+    return previous
 
 
 @contextlib.contextmanager
-def context_storage(storage: str) -> Iterator[str]:
-    """Scoped context-storage override:
-    ``with context_storage("int8"): ...``."""
-    resolved = _canonical_context_storage(storage)
-    _POLICY.storage_stack.append(resolved)
+def policy(**overrides) -> Iterator[None]:
+    """Scoped override of the named fields: ``with policy(dtype="float32"):``.
+
+    The scope holds for the calling thread until it exits, also on an
+    exception, and other threads never see it.  Fields it does not name
+    (or passes as ``None``) keep following the enclosing scope and, past
+    every scope, the process policy — including a later
+    :func:`set_policy` from any thread.
+
+    >>> with policy(index_dtype="int64"):
+    ...     with policy(dtype="float32"):
+    ...         (resolve_dtype().name, resolve_index_dtype().name)
+    ('float32', 'int64')
+    """
+    state = _SCOPE
+    outer = state.overrides
+    state.overrides = outer._replace(**_canonical_overrides(overrides))
     try:
-        yield resolved
+        yield
     finally:
-        _POLICY.storage_stack.pop()
+        state.overrides = outer
+
+
+def get_backend() -> "ArrayBackend":
+    """The active backend (innermost ``policy(backend=...)`` scope wins,
+    falling back to the process policy)."""
+    backend = _SCOPE.overrides.backend
+    return _PROCESS_POLICY.backend if backend is None else backend
+
+
+def default_dtype() -> np.dtype:
+    """The ambient element dtype (innermost ``policy(dtype=...)`` scope
+    wins, falling back to the process policy)."""
+    dtype = _SCOPE.overrides.dtype
+    return _PROCESS_POLICY.dtype if dtype is None else dtype
+
+
+def default_index_dtype() -> np.dtype:
+    """The ambient index dtype (innermost ``policy(index_dtype=...)``
+    scope wins, falling back to the process policy)."""
+    dtype = _SCOPE.overrides.index_dtype
+    return _PROCESS_POLICY.index_dtype if dtype is None else dtype
+
+
+def default_context_storage() -> str:
+    """The ambient context-storage width (innermost
+    ``policy(context_storage=...)`` scope wins, falling back to the
+    process policy)."""
+    storage = _SCOPE.overrides.context_storage
+    return _PROCESS_POLICY.context_storage if storage is None else storage
 
 
 def fused_inference_enabled() -> bool:
@@ -376,60 +411,33 @@ def fused_inference_enabled() -> bool:
     requires eval mode and gradients off before it dispatches the fused
     path, so training numerics are never affected by this switch.
 
-    >>> fused_inference_enabled()
+    >>> with policy(fused=True):
+    ...     fused_inference_enabled()
     True
-    >>> with fused_inference(False):
+    >>> with policy(fused=False):
     ...     fused_inference_enabled()
     False
     """
-    stack = _POLICY.fused_stack
-    return stack[-1] if stack else _PROCESS_FUSED_INFERENCE
+    fused = _SCOPE.overrides.fused
+    return _PROCESS_POLICY.fused if fused is None else fused
 
 
-def set_fused_inference(enabled: bool) -> None:
-    """Flip the process-wide fused-inference switch (all threads)."""
-    global _PROCESS_FUSED_INFERENCE
-    _PROCESS_FUSED_INFERENCE = bool(enabled)
+def resolve_context_storage(storage: Optional[str] = None) -> str:
+    """``storage`` normalised, or the ambient policy when ``None``.
 
+    The one call every context-caching site makes (the serving engine,
+    its ``from_bundle`` constructor and the CLI), mirroring
+    :func:`resolve_dtype` for element widths.
 
-@contextlib.contextmanager
-def fused_inference(enabled: bool = True) -> Iterator[bool]:
-    """Scoped fused-inference override:
-    ``with fused_inference(False): ...`` forces the unfused reference
-    path even in eval/no-grad mode (the A/B lever benchmarks and parity
-    tests use)."""
-    _POLICY.fused_stack.append(bool(enabled))
-    try:
-        yield bool(enabled)
-    finally:
-        _POLICY.fused_stack.pop()
-
-
-@contextlib.contextmanager
-def precision(dtype: DTypeLike) -> Iterator[Precision]:
-    """Scoped precision override: ``with precision("float32"): ...``."""
-    policy = Precision(dtype)
-    _POLICY.stack.append(policy)
-    try:
-        yield policy
-    finally:
-        _POLICY.stack.pop()
-
-
-@contextlib.contextmanager
-def index_precision(dtype: DTypeLike) -> Iterator[np.dtype]:
-    """Scoped index-width override.
-
-    >>> with index_precision("int64"):
-    ...     resolve_index_dtype().name
-    'int64'
+    >>> with policy(context_storage="float16"):
+    ...     resolve_context_storage()
+    'float16'
+    >>> resolve_context_storage("int8")
+    'int8'
     """
-    resolved = _canonical_index_dtype(dtype)
-    _POLICY.index_stack.append(resolved)
-    try:
-        yield resolved
-    finally:
-        _POLICY.index_stack.pop()
+    if storage is None:
+        return default_context_storage()
+    return _canonical_context_storage(storage)
 
 
 def resolve_dtype(dtype: Optional[DTypeLike] = None) -> np.dtype:
@@ -449,7 +457,7 @@ def resolve_index_dtype(dtype: Optional[DTypeLike] = None) -> np.dtype:
     The one call every index-creating site (edge lists, CSR structure,
     gather/scatter/segment indices) makes instead of naming ``np.int64``.
 
-    >>> with index_precision("int32"):
+    >>> with policy(index_dtype="int32"):
     ...     resolve_index_dtype().name
     'int32'
     >>> resolve_index_dtype("int64") is np.dtype(np.int64)
@@ -469,7 +477,7 @@ def index_dtype_for(max_value: int,
     batch offsets, validated query ids) routes through this so the
     overflow guard lives in exactly one place.
 
-    >>> with index_precision("int32"):
+    >>> with policy(index_dtype="int32"):
     ...     (index_dtype_for(100).name, index_dtype_for(2 ** 40).name)
     ('int32', 'int64')
     """
@@ -533,8 +541,8 @@ class ArrayBackend:
     The base class documents the surface; :class:`NumpyBackend` is the
     reference implementation and :class:`ThreadedBackend` the parallel
     one.  An alternative backend subclasses this, overrides the kernels
-    it accelerates, and is installed via :func:`set_backend`
-    (process-wide) or ``with use_backend(...)`` (scoped).  All methods
+    it accelerates, and is installed via ``set_policy(backend=...)``
+    (process-wide) or ``with policy(backend=...)`` (scoped).  All methods
     take and return numpy-compatible arrays so backends can be swapped
     without touching the layers above.  See ``docs/backends.md`` for a
     walkthrough of writing one.
@@ -543,7 +551,7 @@ class ArrayBackend:
     ...     name = "negating"
     ...     def matmul(self, a, b):
     ...         return -np.matmul(a, b)
-    >>> with use_backend(NegatingBackend()):
+    >>> with policy(backend=NegatingBackend()):
     ...     float(get_backend().matmul(np.eye(2), np.eye(2))[0, 0])
     -1.0
     """
@@ -793,8 +801,7 @@ class ThreadedBackend(NumpyBackend):
     def __init__(self, num_threads: Optional[int] = None,
                  serial_rows: int = 512):
         if num_threads is None:
-            env = os.environ.get("REPRO_NUM_THREADS", "")
-            num_threads = int(env) if env else (os.cpu_count() or 1)
+            num_threads = _env_num_threads() or os.cpu_count() or 1
         if num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
         self.num_threads = int(num_threads)
@@ -956,6 +963,27 @@ class ThreadedBackend(NumpyBackend):
         return out
 
 
+def _env_num_threads() -> Optional[int]:
+    """``REPRO_NUM_THREADS`` as a worker count, or ``None`` when unset.
+
+    The one parse of the variable: the threaded and numba constructors
+    call it when given no ``num_threads``, which is also how
+    :meth:`Policy.from_env` sizes a ``REPRO_BACKEND`` parallel backend.
+    """
+    value = os.environ.get("REPRO_NUM_THREADS", "")
+    if not value:
+        return None
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"invalid REPRO_NUM_THREADS environment variable: {value!r} "
+            f"(use a positive integer)")
+    return count
+
+
 def _import_numba_kernels():
     """Import the JIT kernel module, or fail with an install hint.
 
@@ -1029,12 +1057,9 @@ class NumbaBackend(NumpyBackend):
     def __init__(self, num_threads: Optional[int] = None):
         self._kernels = _import_numba_kernels()
         if num_threads is None:
-            # Honour the same env policy as ThreadedBackend so one
-            # REPRO_NUM_THREADS setting sizes whichever parallel
+            # One REPRO_NUM_THREADS setting sizes whichever parallel
             # backend is selected.
-            env = os.environ.get("REPRO_NUM_THREADS", "")
-            if env:
-                num_threads = int(env)
+            num_threads = _env_num_threads()
         if num_threads is not None:
             if num_threads < 1:
                 raise ValueError(
@@ -1319,89 +1344,16 @@ def make_backend(name: str, **options) -> ArrayBackend:
     >>> make_backend("threaded", num_threads=2).num_threads
     2
     """
+    return _backend_factory(name)(**options)
+
+
+def _backend_factory(name: str) -> Callable[..., ArrayBackend]:
     factory = _BACKEND_FACTORIES.get(name.strip().lower())
     if factory is None:
         raise ValueError(
             f"unknown backend {name!r}; choose from {backend_names()}")
-    return factory(**options)
+    return factory
 
 
-def _coerce_backend(backend: Union[str, ArrayBackend],
-                    **options) -> ArrayBackend:
-    if isinstance(backend, str):
-        return make_backend(backend, **options)
-    if options:
-        raise TypeError(
-            "backend options are only accepted together with a backend "
-            "name, not a ready instance")
-    if not isinstance(backend, ArrayBackend):
-        raise TypeError(
-            f"expected an ArrayBackend or a registered backend name, got "
-            f"{type(backend).__name__}")
-    return backend
-
-
-def _backend_from_env() -> ArrayBackend:
-    """The process default from ``REPRO_BACKEND`` (default numpy)."""
-    name = os.environ.get("REPRO_BACKEND", "numpy")
-    try:
-        return make_backend(name)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_BACKEND environment variable: {exc}") from exc
-    except ImportError as exc:
-        # Fail fast rather than silently degrade to numpy: an explicit
-        # REPRO_BACKEND request that cannot be honoured should never let
-        # a serving fleet lose its JIT without noticing.  The message
-        # names both ways out.
-        raise ImportError(
-            f"REPRO_BACKEND={name} needs an optional dependency ({exc}); "
-            f"install it, or unset REPRO_BACKEND to use the default "
-            f"numpy backend") from exc
-
-
-#: Process-wide default backend (shared across threads, like the
-#: precision default); ``use_backend`` overrides are per-thread.
-_PROCESS_DEFAULT_BACKEND = _backend_from_env()
-
-
-class _BackendState(threading.local):
-    """Per-thread stack of scoped ``use_backend(...)`` overrides."""
-
-    def __init__(self):
-        self.stack = []
-
-
-_BACKEND_STATE = _BackendState()
-
-
-def get_backend() -> ArrayBackend:
-    """The active backend (innermost ``use_backend`` context wins,
-    falling back to the process-wide default)."""
-    stack = _BACKEND_STATE.stack
-    return stack[-1] if stack else _PROCESS_DEFAULT_BACKEND
-
-
-def set_backend(backend: Union[str, ArrayBackend], **options) -> None:
-    """Install a backend as the process-wide default (all threads).
-
-    Accepts an :class:`ArrayBackend` instance or a registered name (with
-    factory ``options``): ``set_backend("threaded", num_threads=8)``.
-    """
-    global _PROCESS_DEFAULT_BACKEND
-    _PROCESS_DEFAULT_BACKEND = _coerce_backend(backend, **options)
-
-
-@contextlib.contextmanager
-def use_backend(backend: Union[str, ArrayBackend],
-                **options) -> Iterator[ArrayBackend]:
-    """Scoped backend override: ``with use_backend("threaded"): ...``.
-
-    Accepts an instance or a registered name, like :func:`set_backend`.
-    """
-    resolved = _coerce_backend(backend, **options)
-    _BACKEND_STATE.stack.append(resolved)
-    try:
-        yield resolved
-    finally:
-        _BACKEND_STATE.stack.pop()
+#: The process-wide policy; ``policy(...)`` scopes override it per thread.
+_PROCESS_POLICY = Policy.from_env()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets import clear_cache
 from repro.graph import attributed_community_graph
-from repro.nn.backend import precision
+from repro.nn.backend import get_policy, policy, set_policy
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
@@ -40,10 +40,28 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def _pin_numeric_equivalence_precision(request):
     if request.module.__name__ in _FLOAT64_PINNED_MODULES:
-        with precision("float64"):
+        with policy(dtype="float64"):
             yield
     else:
         yield
+
+
+@pytest.fixture(autouse=True)
+def _process_policy_unchanged():
+    """Fail any test that leaves the process policy other than it found it.
+
+    A leaked ``set_policy`` runs every later module under the wrong
+    settings; restoring a hardcoded backend, for one, would silently put
+    the ``REPRO_BACKEND=threaded`` suite on numpy.  The policy is put
+    back before failing so one leak reports once.
+    """
+    before = get_policy()
+    yield
+    after = get_policy()
+    if after != before:
+        set_policy(before)
+        pytest.fail(f"test left the process policy changed: {before} -> "
+                    f"{after}")
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from repro.api.bundle import BUNDLE_FORMAT, BUNDLE_HEADER_KEY, BUNDLE_VERSION
 from repro.core import CGNP, CGNPConfig, meta_test_task, predict_memberships
 from repro.core.infer import validate_queries
 from repro.eval import ALL_METHOD_NAMES, CORE_METHOD_NAMES
+from repro.nn.backend import policy
 from repro.nn.serialize import save_state
 from repro.utils import make_rng
 
@@ -201,7 +202,9 @@ class TestCommunitySearchEngine:
         assert stats.queries_served == 32 + 5 + 1
 
     def test_batched_path_matches_per_query_loop(self, model, test_task):
-        engine = CommunitySearchEngine(model).attach(test_task)
+        # Full-width contexts: the 1e-10 bar compares against the model.
+        with policy(context_storage="full"):
+            engine = CommunitySearchEngine(model).attach(test_task)
         n = test_task.graph.num_nodes
         batch = [int(q) for q in np.arange(32) % n]
         matrix = engine.predict_proba(batch)

@@ -122,13 +122,17 @@ class TestCommands:
     def test_omitted_backend_flags_keep_ambient_policies(self):
         """Flags default to None so REPRO_BACKEND/REPRO_INDEX_DTYPE (the
         process defaults) stay effective on the CLI entry points."""
-        from repro.cli import _policy_scopes
+        from repro.cli import _policy_scope
+        from repro.nn.backend import default_index_dtype, get_backend
 
         args = build_parser().parse_args(
             ["query", "--model", "x.npz", "--node", "0"])
         assert args.backend is None
         assert args.index_dtype is None
-        assert _policy_scopes(args) == []
+        backend, index_dtype = get_backend(), default_index_dtype()
+        with _policy_scope(args):
+            assert get_backend() is backend
+            assert default_index_dtype() == index_dtype
 
     def test_query_architecture_flags_deprecated(self, tmp_path, capsys):
         """Old scripts passing architecture flags still work, with a warning."""

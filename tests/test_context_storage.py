@@ -27,10 +27,9 @@ from repro.api.engine import _StoredContext
 from repro.core import CGNP, CGNPConfig
 from repro.eval.metrics import binary_metrics
 from repro.graph import attributed_community_graph
-from repro.nn.backend import (SUPPORTED_CONTEXT_STORAGE, context_storage,
-                              default_context_storage,
-                              resolve_context_storage,
-                              set_default_context_storage)
+from repro.nn.backend import (SUPPORTED_CONTEXT_STORAGE,
+                              default_context_storage, policy,
+                              resolve_context_storage, set_policy)
 from repro.nn.tensor import Tensor
 from repro.serve import GatewayConfig, ServeGateway, ServeStats
 from repro.tasks import TaskSampler
@@ -84,39 +83,36 @@ class TestStoragePolicy:
             resolve_context_storage("float8")
 
     def test_default_and_scoped_override(self):
-        assert default_context_storage() == "full"
-        assert resolve_context_storage() == "full"
-        with context_storage("int8"):
-            assert resolve_context_storage() == "int8"
-            with context_storage("float16"):
-                assert resolve_context_storage() == "float16"
-            assert resolve_context_storage() == "int8"
-        assert resolve_context_storage() == "full"
+        # Pinned to the documented default so REPRO_CONTEXT_STORAGE=int8
+        # runs check the same thing.
+        with policy(context_storage="full"):
+            assert default_context_storage() == "full"
+            assert resolve_context_storage() == "full"
+            with policy(context_storage="int8"):
+                assert resolve_context_storage() == "int8"
+                with policy(context_storage="float16"):
+                    assert resolve_context_storage() == "float16"
+                assert resolve_context_storage() == "int8"
+            assert resolve_context_storage() == "full"
 
     def test_process_default(self):
-        set_default_context_storage("float16")
+        # Runs inside conftest's float64 pin: a scope over dtype must
+        # leave context storage following the process policy.
+        previous = set_policy(context_storage="float16")
         try:
             assert resolve_context_storage() == "float16"
             # Explicit arguments and scopes still beat the process default.
             assert resolve_context_storage("int8") == "int8"
         finally:
-            set_default_context_storage("full")
-
-    def test_env_var(self, monkeypatch):
-        from repro.nn.backend import _context_storage_from_env
-
-        monkeypatch.setenv("REPRO_CONTEXT_STORAGE", "int8")
-        assert _context_storage_from_env() == "int8"
-        monkeypatch.setenv("REPRO_CONTEXT_STORAGE", "bogus")
-        with pytest.raises(ValueError, match="REPRO_CONTEXT_STORAGE"):
-            _context_storage_from_env()
+            set_policy(previous)
 
     def test_engine_inherits_ambient_policy(self, fixture_tasks):
         model = build_model(fixture_tasks)
-        with context_storage("float16"):
+        with policy(context_storage="float16"):
             engine = CommunitySearchEngine(model)
         assert engine.context_storage == "float16"
-        assert CommunitySearchEngine(model).context_storage == "full"
+        assert (CommunitySearchEngine(model).context_storage
+                == default_context_storage())
 
 
 class TestStoredContext:
@@ -181,8 +177,8 @@ class TestServingParity:
         model = build_model(fixture_tasks, decoder=decoder)
         task = fixture_tasks[0]
         nodes = [int(example.query) for example in task.queries]
-        reference = CommunitySearchEngine(model).attach(task) \
-            .predict_proba(nodes)
+        reference = CommunitySearchEngine(model, context_storage="full") \
+            .attach(task).predict_proba(nodes)
         compact = CommunitySearchEngine(model, context_storage=storage) \
             .attach(task).predict_proba(nodes)
         # Identical membership sets at the default threshold, and
@@ -276,7 +272,8 @@ class TestCacheAccounting:
         # budget, int8 storage holds ≥2x (here 4-8x) the sessions full
         # storage does.
         model = build_model(fixture_tasks)
-        full = CommunitySearchEngine(model).attach(fixture_tasks[0])
+        full = CommunitySearchEngine(model, context_storage="full") \
+            .attach(fixture_tasks[0])
         compact = CommunitySearchEngine(model, context_storage="int8") \
             .attach(fixture_tasks[0])
         per_full = full.stats().context_cache_bytes

@@ -31,9 +31,8 @@ from repro.gnn.encoder import GNNEncoder
 from repro.graph import attributed_community_graph
 from repro.nn.backend import (FUSED_ACTIVATIONS, NumpyBackend,
                               ThreadedBackend, available_backends,
-                              fused_inference, fused_inference_enabled,
-                              index_precision, make_backend, precision,
-                              set_fused_inference, use_backend)
+                              fused_inference_enabled, make_backend, policy,
+                              set_policy)
 from repro.nn.tensor import Tensor, no_grad
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
@@ -201,9 +200,9 @@ class TestEncoderFusedDispatch:
         encoder = GNNEncoder(features.shape[1], 16, 2, conv, 0.2, make_rng(0))
         encoder.eval()
         with no_grad():
-            with fused_inference(False):
+            with policy(fused=False):
                 expected = encoder(features, task.graph)
-            with fused_inference(True):
+            with policy(fused=True):
                 fused = encoder(features, task.graph)
         np.testing.assert_array_equal(fused.data, expected.data)
 
@@ -214,7 +213,7 @@ class TestEncoderFusedDispatch:
         features = Tensor(task.features())
         encoder = GNNEncoder(features.shape[1], 8, 2, "gcn", 0.0, make_rng(0))
         encoder.train()
-        with fused_inference(True):
+        with policy(fused=True):
             out = encoder(features, task.graph)
             out.sum().backward()
         assert encoder.convs[0].weight.grad is not None
@@ -226,21 +225,23 @@ class TestEncoderFusedDispatch:
         encoder.eval()
         assert not encoder._fused_active()       # tape is on by default
         with no_grad():
-            with fused_inference(True):
+            with policy(fused=True):
                 assert encoder._fused_active()
-            with fused_inference(False):
+            with policy(fused=False):
                 assert not encoder._fused_active()
 
     def test_policy_toggle(self):
-        assert fused_inference_enabled()         # default on
-        set_fused_inference(False)
+        # The process switch off, then a scope turning it back on; the
+        # default itself is checked in tests/test_policy.py, so
+        # REPRO_FUSED=0 runs check the same thing.
+        previous = set_policy(fused=False)
         try:
             assert not fused_inference_enabled()
-            with fused_inference(True):
+            with policy(fused=True):
                 assert fused_inference_enabled()
             assert not fused_inference_enabled()
         finally:
-            set_fused_inference(True)
+            set_policy(previous)
 
 
 class TestContextFold:
@@ -252,9 +253,9 @@ class TestContextFold:
                                      aggregator=agg), make_rng(0))
         model.eval()
         with no_grad():
-            with fused_inference(False):
+            with policy(fused=False):
                 expected, off_ref = model.context_concat(fixture_tasks)
-            with fused_inference(True):
+            with policy(fused=True):
                 fused, offsets = model.context_concat(fixture_tasks)
         np.testing.assert_array_equal(offsets, off_ref)
         scale = np.max(np.abs(expected.data))
@@ -269,9 +270,9 @@ class TestContextFold:
         supports = [list(t.support)[:k + 1]
                     for k, t in enumerate(fixture_tasks)]
         with no_grad():
-            with fused_inference(False):
+            with policy(fused=False):
                 expected, _ = model.context_concat(fixture_tasks, supports)
-            with fused_inference(True):
+            with policy(fused=True):
                 fused, _ = model.context_concat(fixture_tasks, supports)
         scale = np.max(np.abs(expected.data))
         assert np.max(np.abs(fused.data - expected.data)) <= 1e-10 * scale
@@ -285,9 +286,9 @@ class TestContextFold:
         model.eval()
         supports = [list(t.support)[:1] for t in fixture_tasks]
         with no_grad():
-            with fused_inference(False):
+            with policy(fused=False):
                 expected, _ = model.context_concat(fixture_tasks, supports)
-            with fused_inference(True):
+            with policy(fused=True):
                 fused, _ = model.context_concat(fixture_tasks, supports)
         np.testing.assert_array_equal(fused.data, expected.data)
 
@@ -300,9 +301,9 @@ class TestContextFold:
                                      aggregator="attention"), make_rng(0))
         model.eval()
         with no_grad():
-            with fused_inference(False):
+            with policy(fused=False):
                 expected, _ = model.context_concat(fixture_tasks)
-            with fused_inference(True):
+            with policy(fused=True):
                 fused, _ = model.context_concat(fixture_tasks)
         np.testing.assert_array_equal(fused.data, expected.data)
 
@@ -315,7 +316,7 @@ class TestContextFold:
         model.encoder.activate_final = True
         model.eval()
         assert not model._fold_active()
-        with no_grad(), fused_inference(True):
+        with no_grad(), policy(fused=True):
             assert not model._fold_active()
             model.encoder.activate_final = False
             assert model._fold_active()
@@ -331,10 +332,10 @@ class TestContextFold:
                                      aggregator=agg), make_rng(0))
         task = fixture_tasks[0]
         nodes = [int(example.query) for example in task.queries]
-        with fused_inference(False):
+        with policy(fused=False):
             expected = CommunitySearchEngine(model).attach(task) \
                 .predict_proba(nodes)
-        with fused_inference(True):
+        with policy(fused=True):
             fused = CommunitySearchEngine(model).attach(task) \
                 .predict_proba(nodes)
         np.testing.assert_array_equal(fused >= 0.5, expected >= 0.5)
@@ -343,14 +344,14 @@ class TestContextFold:
     @pytest.mark.parametrize("index", ["int32", "int64"])
     def test_fold_under_policies(self, fixture_tasks, elem, index):
         dim = fixture_tasks[0].features().shape[1]
-        with precision(elem), index_precision(index):
+        with policy(dtype=elem, index_dtype=index):
             model = CGNP(dim, CGNPConfig(hidden_dim=16, num_layers=2,
                                          conv="gcn"), make_rng(0))
             model.eval()
             with no_grad():
-                with fused_inference(False):
+                with policy(fused=False):
                     expected, _ = model.context_concat(fixture_tasks)
-                with fused_inference(True):
+                with policy(fused=True):
                     fused, _ = model.context_concat(fixture_tasks)
             tol = 1e-10 if elem == "float64" else 1e-4
             scale = np.max(np.abs(expected.data))

@@ -21,8 +21,7 @@ from repro.gnn import graph_shard_ops
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.graph import Graph, GraphDelta, ShardedGraph
 from repro.graph.delta import GRAPH_OPS_PREFIX, dirty_frontier
-from repro.nn.backend import index_precision, precision, resolve_dtype, \
-    resolve_index_dtype, use_backend
+from repro.nn.backend import policy, resolve_dtype, resolve_index_dtype
 from repro.utils import make_rng
 
 
@@ -157,7 +156,7 @@ class TestDenseDifferential:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_repaired_ops_bitwise_equal_cold_build(self, backend,
                                                    index_dtype, seed):
-        with use_backend(backend), index_precision(index_dtype):
+        with policy(backend=backend, index_dtype=index_dtype):
             rng = make_rng(seed)
             graph = random_graph(rng)
             graph_ops(graph)                     # build, then mutate
@@ -168,7 +167,7 @@ class TestDenseDifferential:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_consecutive_deltas_compound(self, backend, index_dtype, seed):
-        with use_backend(backend), index_precision(index_dtype):
+        with policy(backend=backend, index_dtype=index_dtype):
             rng = make_rng(seed)
             graph = random_graph(rng)
             graph_ops(graph)
@@ -184,7 +183,7 @@ class TestDensePrecisionWidths:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_float32_parity(self, seed):
-        with precision("float32"):
+        with policy(dtype="float32"):
             rng = make_rng(seed)
             graph = random_graph(rng)
             graph_ops(graph)

@@ -17,8 +17,7 @@ from repro.core import CGNP, CGNPConfig, task_batch_loss, task_loss
 from repro.graph import GraphBatch, attributed_community_graph, stack_csr
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.nn.backend import (SUPPORTED_INDEX_DTYPES, default_index_dtype,
-                              index_precision, resolve_index_dtype,
-                              set_default_index_dtype)
+                              policy, resolve_index_dtype)
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
@@ -31,9 +30,9 @@ def _pin_int32_policy():
     these tests assert *explicit-width* behaviour (what int32 structure
     looks like, how the widths coexist), so they pin the scope instead of
     assuming the process default.  The process-default plumbing itself is
-    covered by ``TestPolicy``.
+    covered by ``tests/test_policy.py``.
     """
-    with index_precision("int32"):
+    with policy(index_dtype="int32"):
         yield
 
 
@@ -48,64 +47,12 @@ class TestPolicy:
         assert default_index_dtype() == np.int32
         assert resolve_index_dtype() == np.int32
 
-    def test_process_default_follows_env(self):
-        import os
-        import threading
-
-        # Scoped overrides (including this module's pin) are per-thread,
-        # so a fresh thread sees the raw process default: REPRO_INDEX_DTYPE
-        # or int32.
-        seen = {}
-        worker = threading.Thread(
-            target=lambda: seen.update(dtype=default_index_dtype()))
-        worker.start()
-        worker.join()
-        expected = os.environ.get("REPRO_INDEX_DTYPE", "int32")
-        assert seen["dtype"] == np.dtype(expected)
-
     def test_supported_widths(self):
         assert SUPPORTED_INDEX_DTYPES == ("int32", "int64")
         with pytest.raises(ValueError):
             resolve_index_dtype("int16")
         with pytest.raises(ValueError):
             resolve_index_dtype("uint32")
-
-    def test_scoped_override_nests_and_restores(self):
-        assert resolve_index_dtype() == np.int32
-        with index_precision("int64"):
-            assert resolve_index_dtype() == np.int64
-            with index_precision("int32"):
-                assert resolve_index_dtype() == np.int32
-            assert resolve_index_dtype() == np.int64
-        assert resolve_index_dtype() == np.int32
-
-    def test_process_default_setter(self):
-        import threading
-
-        def process_default():
-            seen = {}
-            worker = threading.Thread(
-                target=lambda: seen.update(dtype=default_index_dtype()))
-            worker.start()
-            worker.join()
-            return seen["dtype"]
-
-        previous = process_default()
-        try:
-            set_default_index_dtype("int64")
-            assert process_default() == np.int64
-        finally:
-            set_default_index_dtype(previous)
-        assert process_default() == previous
-
-    def test_env_default_validated(self, monkeypatch):
-        from repro.nn.backend import _index_dtype_from_env
-
-        monkeypatch.setenv("REPRO_INDEX_DTYPE", "int64")
-        assert _index_dtype_from_env() == np.int64
-        monkeypatch.setenv("REPRO_INDEX_DTYPE", "int7")
-        with pytest.raises(ValueError, match="REPRO_INDEX_DTYPE"):
-            _index_dtype_from_env()
 
 
 class TestGraphStructure:
@@ -118,7 +65,7 @@ class TestGraphStructure:
         assert src.dtype == np.int32 and dst.dtype == np.int32
 
     def test_int64_graph_under_scoped_policy(self):
-        with index_precision("int64"):
+        with policy(index_dtype="int64"):
             graph = make_graph(seed=11)
         assert graph.edges.dtype == np.int64
         assert graph.adjacency.indices.dtype == np.int64
@@ -178,7 +125,7 @@ class TestOperatorCache:
         # would label an int64 operator as int32.
         batch = GraphBatch([make_graph(seed=4, num_nodes=30),
                             make_graph(seed=5, num_nodes=40)])
-        with index_precision("int64"):
+        with policy(index_dtype="int64"):
             ops = graph_ops(batch, "float64", "int32")
         assert ops.index_dtype == np.int32
         assert ops.norm_adj.indices.dtype == np.int32
@@ -225,9 +172,9 @@ class TestNumericParity:
                      make_rng(9))
         model.eval()  # no dropout: forwards must match exactly
 
-        with index_precision("int32"):
+        with policy(index_dtype="int32"):
             loss32, grads32 = _loss_and_grads(model, tasks, batched=True)
-        with index_precision("int64"):
+        with policy(index_dtype="int64"):
             loss64, grads64 = _loss_and_grads(model, tasks, batched=True)
         np.testing.assert_array_equal(loss32, loss64)
         for g32, g64 in zip(grads32, grads64):
@@ -243,7 +190,7 @@ class TestNumericParity:
                      make_rng(3))
         model.eval()
         for width in SUPPORTED_INDEX_DTYPES:
-            with index_precision(width):
+            with policy(index_dtype=width):
                 batched_loss, batched_grads = _loss_and_grads(
                     model, tasks, batched=True)
                 loop_loss, loop_grads = _loss_and_grads(
@@ -264,7 +211,7 @@ class TestBundleProvenance:
         bundle = ModelBundle.from_model(model)
         assert bundle.index_dtype == "int32"
         assert bundle.backend == get_backend().name
-        with index_precision("int64"):
+        with policy(index_dtype="int64"):
             assert ModelBundle.from_model(model).index_dtype == "int64"
 
     def test_round_trip_and_legacy_defaults(self, tmp_path):

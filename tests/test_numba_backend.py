@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
-from repro.nn.backend import (NumbaBackend, available_backends,
+from repro.nn.backend import (NumbaBackend, Policy, available_backends,
                               backend_names, make_backend)
 
 
@@ -53,12 +53,10 @@ class TestImportGating:
             NumbaBackend()
 
     def test_env_selection_reports_the_variable(self, monkeypatch):
-        from repro.nn.backend import _backend_from_env
-
         hide_numba(monkeypatch)
         monkeypatch.setenv("REPRO_BACKEND", "numba")
         with pytest.raises(ImportError, match="REPRO_BACKEND"):
-            _backend_from_env()
+            Policy.from_env()
 
     def test_default_backend_never_touches_numba(self, monkeypatch):
         hide_numba(monkeypatch)
@@ -116,19 +114,19 @@ class TestCliBackends:
         # --num-threads now applies to numba too; with the wheel hidden
         # the run must fail on the *install hint*, not the flag check.
         hide_numba(monkeypatch)
-        from repro.cli import _policy_scopes
+        from repro.cli import _policy_scope
         import argparse
 
         args = argparse.Namespace(backend="numba", num_threads=2,
                                   index_dtype=None)
         with pytest.raises(ImportError, match="pip install numba"):
-            _policy_scopes(args)
+            _policy_scope(args)
 
     def test_num_threads_still_rejected_for_numpy(self):
-        from repro.cli import _policy_scopes
+        from repro.cli import _policy_scope
         import argparse
 
         args = argparse.Namespace(backend="numpy", num_threads=2,
                                   index_dtype=None)
         with pytest.raises(ValueError, match="--num-threads"):
-            _policy_scopes(args)
+            _policy_scope(args)

@@ -30,8 +30,7 @@ from repro.graph import GraphBatch, attributed_community_graph  # noqa: E402
 from repro.gnn.conv import GATConv, graph_ops  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
 from repro.nn.backend import (NumbaBackend, NumpyBackend,  # noqa: E402
-                              available_backends, index_precision,
-                              make_backend, precision, use_backend)
+                              available_backends, make_backend, policy)
 from repro.nn.sparse import spmm  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
 from repro.tasks import TaskSampler  # noqa: E402
@@ -104,7 +103,7 @@ class TestSpmmParity:
             num_attributes=6, rng=make_rng(s), name=f"nb{s}")
             for s, n in ((1, 50), (2, 120), (3, 33), (4, 80))]
         batch = GraphBatch(graphs)
-        with index_precision(index_dtype):
+        with policy(index_dtype=index_dtype):
             ops = graph_ops(batch)
         assert ops.norm_adj.block_offsets is not None
         dense = np.random.default_rng(6).standard_normal(
@@ -132,7 +131,7 @@ class TestSpmmParity:
         grads = {}
         for label, backend in (("numpy", NumpyBackend()),
                                ("numba", numba_backend)):
-            with use_backend(backend):
+            with policy(backend=backend):
                 x = Tensor(x_data.copy(), requires_grad=True)
                 spmm(matrix, x).sum().backward()
                 grads[label] = x.grad.copy()
@@ -193,7 +192,7 @@ class TestEdgeOpParity:
         grads = {}
         for label, backend in (("numpy", NumpyBackend()),
                                ("numba", numba_backend)):
-            with use_backend(backend):
+            with policy(backend=backend):
                 x = Tensor(x_data.copy(), requires_grad=True)
                 gathered = x.take_rows(indices)
                 F.scatter_add(gathered, indices, 30).sum().backward()
@@ -261,7 +260,7 @@ class TestEdgeOpParity:
         grads = {}
         for label, backend in (("numpy", NumpyBackend()),
                                ("numba", numba_backend)):
-            with use_backend(backend):
+            with policy(backend=backend):
                 s = Tensor(s_data.copy(), requires_grad=True)
                 out = F.segment_softmax(s, segments, 25)
                 (out * Tensor(weights)).sum().backward()
@@ -299,9 +298,9 @@ class TestModelParity:
 
     def test_gcn_ragged_batch_bitwise(self, numba_backend):
         model, tasks = self._ragged_fixture("gcn")
-        with use_backend(NumpyBackend()):
+        with policy(backend=NumpyBackend()):
             ref_loss, ref_grads = self._loss_and_grads(model, tasks)
-        with use_backend(numba_backend):
+        with policy(backend=numba_backend):
             nb_loss, nb_grads = self._loss_and_grads(model, tasks)
         np.testing.assert_array_equal(ref_loss, nb_loss)
         for ref, got in zip(ref_grads, nb_grads):
@@ -311,11 +310,11 @@ class TestModelParity:
     @pytest.mark.parametrize("index_dtype", INDEX_DTYPES)
     def test_gat_ragged_batch_tolerance(self, numba_backend, dtype,
                                         index_dtype):
-        with precision(dtype), index_precision(index_dtype):
+        with policy(dtype=dtype, index_dtype=index_dtype):
             model, tasks = self._ragged_fixture("gat")
-            with use_backend(NumpyBackend()):
+            with policy(backend=NumpyBackend()):
                 ref_loss, ref_grads = self._loss_and_grads(model, tasks)
-            with use_backend(numba_backend):
+            with policy(backend=numba_backend):
                 nb_loss, nb_grads = self._loss_and_grads(model, tasks)
         tol = softmax_tol(dtype) * 100
         np.testing.assert_allclose(ref_loss, nb_loss, rtol=tol)
@@ -330,8 +329,8 @@ class TestModelParity:
         ops = graph_ops(graph)
         layer = GATConv(8, 12, make_rng(12), num_heads=2)
         x = Tensor(make_rng(13).standard_normal((80, 8)))
-        with use_backend(NumpyBackend()):
+        with policy(backend=NumpyBackend()):
             reference = layer.forward(x, ops).data.copy()
-        with use_backend(numba_backend):
+        with policy(backend=numba_backend):
             result = layer.forward(x, ops).data.copy()
         np.testing.assert_allclose(result, reference, rtol=1e-10, atol=1e-12)

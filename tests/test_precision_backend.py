@@ -25,13 +25,9 @@ from repro.nn import Adam, Linear, Tensor
 from repro.nn.backend import (
     ArrayBackend,
     NumpyBackend,
-    Precision,
-    default_dtype,
     get_backend,
-    precision,
+    policy,
     resolve_dtype,
-    set_backend,
-    use_backend,
 )
 from repro.nn.serialize import save_state
 from repro.nn.sparse import normalized_adjacency, row_normalized_adjacency, spmm
@@ -49,43 +45,29 @@ def _sample_task(seed: int = 0, name: str = "t"):
 
 
 class TestPrecisionPolicy:
-    def test_precision_context_nests_and_restores(self):
-        base = default_dtype()
-        with precision("float32"):
-            assert default_dtype() == np.dtype(np.float32)
-            with precision("float64"):
-                assert default_dtype() == np.dtype(np.float64)
-            assert default_dtype() == np.dtype(np.float32)
-        assert default_dtype() == base
-
     def test_resolve_dtype_prefers_explicit(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             assert resolve_dtype() == np.dtype(np.float32)
             assert resolve_dtype("float64") == np.dtype(np.float64)
-            assert resolve_dtype(Precision("float64")) == np.dtype(np.float64)
+            assert resolve_dtype(np.float64) == np.dtype(np.float64)
 
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(ValueError, match="unsupported precision"):
-            Precision("float16")
+            resolve_dtype("float16")
         with pytest.raises(ValueError, match="unsupported precision"):
-            with precision("int64"):
+            with policy(dtype="int64"):
                 pass  # pragma: no cover
-
-    def test_precision_equality(self):
-        assert Precision("float32") == Precision(np.float32)
-        assert Precision("float32") == "float32"
-        assert Precision("float32") != Precision("float64")
 
 
 class TestTensorDtype:
     def test_integers_promote_to_policy_dtype(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             assert Tensor([1, 2, 3]).dtype == np.float32
-        with precision("float64"):
+        with policy(dtype="float64"):
             assert Tensor([1, 2, 3]).dtype == np.float64
 
     def test_floating_arrays_keep_their_dtype(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
 
     def test_explicit_dtype_wins(self):
@@ -107,7 +89,7 @@ class TestTensorDtype:
         """Python-scalar arithmetic must not upcast a float32 tensor to
         the ambient (float64) policy — the float32-serving-in-a-float64-
         process case."""
-        with precision("float64"):
+        with policy(dtype="float64"):
             x = Tensor(np.ones(3, dtype=np.float32))
             for result in (x + 1e-16, 1.0 - x, x * 0.5, x / 3.0, 2.0 / x,
                            x - 1.0):
@@ -116,13 +98,13 @@ class TestTensorDtype:
 
 class TestLayersAndOptimDtype:
     def test_linear_parameters_follow_policy(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             layer = Linear(4, 3, make_rng(0))
         assert layer.weight.dtype == np.float32
         assert layer.bias.dtype == np.float32
 
     def test_adam_step_preserves_float32(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             layer = Linear(4, 1, make_rng(0))
             optimizer = Adam(layer.parameters(), lr=1e-2)
             out = layer(Tensor(np.ones((2, 4), dtype=np.float32))).sum()
@@ -134,9 +116,9 @@ class TestLayersAndOptimDtype:
     def test_same_seed_init_matches_across_dtypes(self):
         """The init draw happens at full width, so float32 weights are the
         cast of the float64 weights — not a different random stream."""
-        with precision("float64"):
+        with policy(dtype="float64"):
             w64 = Linear(6, 5, make_rng(7)).weight.data
-        with precision("float32"):
+        with policy(dtype="float32"):
             w32 = Linear(6, 5, make_rng(7)).weight.data
         np.testing.assert_allclose(w32, w64.astype(np.float32))
 
@@ -219,9 +201,9 @@ class TestDtypeKeyedOpsCache:
 
     def test_default_dtype_follows_policy(self):
         g = self._graph()
-        with precision("float32"):
+        with policy(dtype="float32"):
             assert graph_ops(g).norm_adj.dtype == np.float32
-        with precision("float64"):
+        with policy(dtype="float64"):
             assert graph_ops(g).norm_adj.dtype == np.float64
 
     def test_transposed_operators(self):
@@ -236,7 +218,7 @@ class TestDtypeKeyedOpsCache:
 
 class TestFloat32EndToEnd:
     def test_float32_training_stays_float32(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             task = _sample_task(seed=21)
             model = CGNP(task.features().shape[1],
                          CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
@@ -251,9 +233,9 @@ class TestFloat32EndToEnd:
         task = _sample_task(seed=22)
         config = CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
                             decoder="ip")
-        with precision("float64"):
+        with policy(dtype="float64"):
             model64 = CGNP(task.features().shape[1], config, make_rng(4))
-        with precision("float32"):
+        with policy(dtype="float32"):
             model32 = CGNP(task.features().shape[1], config, make_rng(4))
         query = task.queries[0].query
         p64 = model64.predict_proba(task, query)
@@ -265,9 +247,9 @@ class TestFloat32EndToEnd:
         """A float32-built GAT model (the CGNP default conv) must compute
         float32 contexts and logits even when the ambient policy is
         float64 — the exact contract of from_bundle(dtype="float32")."""
-        with precision("float64"):
+        with policy(dtype="float64"):
             task = _sample_task(seed=24)
-            with precision("float32"):
+            with policy(dtype="float32"):
                 model = CGNP(task.features().shape[1],
                              CGNPConfig(hidden_dim=8, num_layers=2,
                                         conv="gat", decoder="ip"),
@@ -279,7 +261,7 @@ class TestFloat32EndToEnd:
             assert probabilities.dtype == np.float32
 
     def test_edgeless_graph_follows_policy(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             graph = Graph(num_nodes=4, edges=np.zeros((0, 2), dtype=np.int64))
         assert graph.adjacency.dtype == np.float32
 
@@ -296,7 +278,7 @@ class TestFloat32EndToEnd:
 
 class TestBundleDtypeRoundTrip:
     def _model(self, task, dtype):
-        with precision(dtype):
+        with policy(dtype=dtype):
             return CGNP(task.features().shape[1],
                         CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
                                    decoder="ip"), make_rng(2))
@@ -370,7 +352,7 @@ class TestBundleDtypeRoundTrip:
 class TestEngineServingDtype:
     def test_from_bundle_serves_at_float32(self, tmp_path):
         task = _sample_task(seed=41)
-        with precision("float64"):
+        with policy(dtype="float64"):
             model = CGNP(task.features().shape[1],
                          CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
                                     decoder="ip"), make_rng(2))
@@ -383,9 +365,9 @@ class TestEngineServingDtype:
         assert task.queries[0].query in members.tolist()
 
     def test_attach_many_rejects_mixed_feature_dtypes(self):
-        with precision("float32"):
+        with policy(dtype="float32"):
             task32 = _sample_task(seed=42, name="f32")
-        with precision("float64"):
+        with policy(dtype="float64"):
             task64 = _sample_task(seed=43, name="f64")
             model = CGNP(task64.features().shape[1],
                          CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
@@ -409,7 +391,7 @@ class TestArrayBackend:
 
     def test_backend_creation_helpers_follow_policy(self):
         xp = get_backend()
-        with precision("float32"):
+        with policy(dtype="float32"):
             assert xp.zeros((2, 2)).dtype == np.float32
             assert xp.ones(3).dtype == np.float32
             assert xp.full((2,), 7.0).dtype == np.float32
@@ -431,7 +413,7 @@ class TestArrayBackend:
         assert recast.indices.dtype == other_width
         assert recast.data is csr.data
 
-    def test_use_backend_routes_kernels(self):
+    def test_backend_scope_routes_kernels(self):
         class CountingBackend(NumpyBackend):
             name = "counting"
 
@@ -449,78 +431,27 @@ class TestArrayBackend:
 
         counting = CountingBackend()
         matrix = sp.csr_matrix(np.eye(3))
-        with use_backend(counting):
+        with policy(backend=counting):
             Tensor(np.ones((3, 3))).matmul(Tensor(np.ones((3, 2))))
             spmm(matrix, Tensor(np.ones((3, 2))))
         assert counting.matmuls == 1
         assert counting.spmms == 1
         assert isinstance(get_backend(), NumpyBackend)
 
-    def test_set_backend_type_checked(self):
+    def test_backend_field_type_checked(self):
         # Non-backend, non-name objects are rejected; unknown names too.
         with pytest.raises(TypeError):
-            set_backend(42)
+            with policy(backend=42):
+                pass  # pragma: no cover
         with pytest.raises(ValueError):
-            set_backend("no-such-backend")
-        # Registered names resolve (scoped, so no process state leaks).
-        from repro.nn.backend import use_backend
-
-        with use_backend("numpy"):
+            with policy(backend="no-such-backend"):
+                pass  # pragma: no cover
+        # Registered names resolve to a fresh instance.
+        with policy(backend="numpy"):
             assert isinstance(get_backend(), NumpyBackend)
-        # Factory options are only meaningful together with a name.
-        with pytest.raises(TypeError):
-            set_backend(NumpyBackend(), num_threads=2)
 
     def test_backend_rng_seeded(self):
         xp = get_backend()
         a = xp.rng(9).normal(size=4)
         b = xp.rng(9).normal(size=4)
         np.testing.assert_array_equal(a, b)
-
-    def test_process_defaults_visible_across_threads(self):
-        """set_default_dtype/set_backend are process-wide: worker threads
-        (e.g. a future threaded-spmm pool) must see them, while scoped
-        precision()/use_backend() overrides stay per-thread."""
-        import threading
-
-        from repro.nn.backend import set_default_dtype
-
-        class NamedBackend(NumpyBackend):
-            name = "named"
-
-        seen = {}
-
-        def worker():
-            seen["dtype"] = default_dtype()
-            seen["backend"] = get_backend().name
-
-        original_dtype = default_dtype()
-        try:
-            set_default_dtype("float32")
-            set_backend(NamedBackend())
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        finally:
-            set_default_dtype(original_dtype)
-            set_backend(NumpyBackend())
-        assert seen["dtype"] == np.dtype(np.float32)
-        assert seen["backend"] == "named"
-
-    def test_scoped_overrides_stay_per_thread(self):
-        import threading
-
-        process_default = default_dtype()
-        opposite = ("float32" if process_default == np.dtype(np.float64)
-                    else "float64")
-        seen = {}
-
-        def worker():
-            seen["dtype"] = default_dtype()
-
-        with precision(opposite):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        # The worker saw the process default, not this thread's override.
-        assert seen["dtype"] == process_default

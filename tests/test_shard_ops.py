@@ -8,8 +8,7 @@ import pytest
 from repro.gnn import graph_shard_ops
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.graph import Graph, ShardedGraph
-from repro.nn.backend import index_precision, precision, resolve_dtype, \
-    resolve_index_dtype
+from repro.nn.backend import policy, resolve_dtype, resolve_index_dtype
 from repro.utils import make_rng
 
 
@@ -60,7 +59,7 @@ class TestOperatorSlices:
         """Shard ``i``'s operator is exactly rows ``lo:hi`` of the dense
         operator restricted to the halo columns — same values, same
         per-row term order, requested index width."""
-        with precision("float32"), index_precision(index_dtype):
+        with policy(dtype="float32", index_dtype=index_dtype):
             dense, sharded = _pair(num_shards=4)
             dense_op = getattr(graph_ops(dense), family)
             for i, ops in enumerate(graph_shard_ops(sharded)):
@@ -86,7 +85,7 @@ class TestOperatorSlices:
         """Gathering the halo rows of a global matrix then applying the
         compacted operator equals the dense product rows — the gather
         contract every streaming forward relies on."""
-        with precision("float64"):
+        with policy(dtype="float64"):
             dense, sharded = _pair(num_shards=5)
             x = make_rng(9).standard_normal((dense.num_nodes, 6))
             full = graph_ops(dense).norm_adj @ x

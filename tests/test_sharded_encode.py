@@ -9,8 +9,7 @@ from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
 from repro.graph import Graph, ShardedGraph
 from repro.nn import no_grad
-from repro.nn.backend import (available_backends, fused_inference,
-                              index_precision, precision, use_backend)
+from repro.nn.backend import available_backends, make_backend, policy
 from repro.tasks import QueryExample, Task
 from repro.utils import make_rng
 
@@ -75,20 +74,19 @@ class TestContextParity:
     @pytest.mark.parametrize("conv", ["gcn", "gat", "sage"])
     @pytest.mark.parametrize("num_shards", [1, 3, 7])
     def test_bitwise_vs_dense(self, tmp_path, conv, num_shards):
-        with precision("float32"), fused_inference(False):
+        with policy(dtype="float32", fused=False):
             dense, sharded = _graph_pair(tmp_path, num_shards)
             _assert_context_parity(_model(conv), dense, sharded)
 
     @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dtype_matrix(self, tmp_path, dtype, index_dtype):
-        with precision(dtype), index_precision(index_dtype), \
-                fused_inference(False):
+        with policy(dtype=dtype, index_dtype=index_dtype, fused=False):
             dense, sharded = _graph_pair(tmp_path, num_shards=4)
             _assert_context_parity(_model("gcn"), dense, sharded)
 
     def test_mean_aggregator(self, tmp_path):
-        with precision("float32"), fused_inference(False):
+        with policy(dtype="float32", fused=False):
             dense, sharded = _graph_pair(tmp_path, num_shards=3)
             _assert_context_parity(_model("gcn", aggregator="mean"),
                                    dense, sharded)
@@ -96,7 +94,7 @@ class TestContextParity:
     def test_structural_features_fallback(self, tmp_path):
         """With structural features on, the support fill falls back to
         the dense feature builder — still bitwise, just not streaming."""
-        with precision("float32"), fused_inference(False):
+        with policy(dtype="float32", fused=False):
             rng = make_rng(0)
             edges = rng.integers(0, N, size=(N * 3, 2))
             attrs = rng.standard_normal((N, D))
@@ -113,21 +111,20 @@ class TestContextParity:
                                    use_structural=True)
 
     def test_threaded_backend(self, tmp_path):
-        with precision("float32"), fused_inference(False), \
-                use_backend("threaded", num_threads=2):
+        with policy(dtype="float32", fused=False,
+                    backend=make_backend("threaded", num_threads=2)):
             dense, sharded = _graph_pair(tmp_path, num_shards=3)
             _assert_context_parity(_model("gat"), dense, sharded)
 
     @pytest.mark.skipif(not available_backends().get("numba", False),
                         reason="numba not installed")
     def test_numba_backend(self, tmp_path):  # pragma: no cover
-        with precision("float32"), fused_inference(False), \
-                use_backend("numba"):
+        with policy(dtype="float32", fused=False, backend="numba"):
             dense, sharded = _graph_pair(tmp_path, num_shards=3)
             _assert_context_parity(_model("gcn"), dense, sharded)
 
     def test_requires_eval_mode(self, tmp_path):
-        with precision("float32"):
+        with policy(dtype="float32"):
             _, sharded = _graph_pair(tmp_path, num_shards=2)
             model = _model("gcn")
             model.train()
@@ -139,7 +136,7 @@ class TestContextParity:
         """Regression: mutate features through set_attributes, re-encode,
         and compare against a *fresh* dense graph built from the mutated
         matrix — a stale cached shard operator would break parity."""
-        with precision("float32"), fused_inference(False):
+        with policy(dtype="float32", fused=False):
             dense, sharded = _graph_pair(tmp_path, num_shards=3)
             model = _model("gcn")
             _assert_context_parity(model, dense, sharded)  # warm caches
@@ -155,7 +152,7 @@ class TestEngineServing:
     def test_one_shot_serve_parity_under_default_fusion(self, tmp_path):
         """predict_proba answers are bitwise identical dense vs sharded
         with the default (fused) serving configuration at 1 shot."""
-        with precision("float32"):
+        with policy(dtype="float32"):
             dense, sharded = _graph_pair(tmp_path, num_shards=4)
             model = _model("gcn")
             dense_engine = CommunitySearchEngine(model).attach(
@@ -169,7 +166,7 @@ class TestEngineServing:
                                       shard_engine.predict_proba(nodes))
 
     def test_stats_gauges(self, tmp_path):
-        with precision("float32"):
+        with policy(dtype="float32"):
             dense, sharded = _graph_pair(tmp_path, num_shards=4)
             model = _model("gcn")
             engine = CommunitySearchEngine(model)
@@ -187,7 +184,7 @@ class TestEngineServing:
             assert 0 < stats.graph_resident_bytes
 
     def test_attach_many_all_sharded(self, tmp_path):
-        with precision("float32"):
+        with policy(dtype="float32"):
             _, first = _graph_pair(tmp_path / "a", num_shards=2)
             _, second = _graph_pair(tmp_path / "b", num_shards=3, seed=1)
             model = _model("gcn")
@@ -199,7 +196,7 @@ class TestEngineServing:
 
     def test_metrics_text_exports_gauges(self, tmp_path):
         from repro.serve.stats import ServeStats
-        with precision("float32"):
+        with policy(dtype="float32"):
             _, sharded = _graph_pair(tmp_path, num_shards=4)
             engine = CommunitySearchEngine(_model("gcn")).attach(
                 _task(sharded, shots=1))

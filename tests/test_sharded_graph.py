@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, ShardedGraph, graph_memory_profile
-from repro.nn.backend import index_precision, precision, resolve_dtype
+from repro.nn.backend import policy, resolve_dtype
 from repro.utils import make_rng
 
 
@@ -34,7 +34,7 @@ class TestFeatureStorage:
     def test_memmap_roundtrip(self, tmp_path, dtype, index_dtype):
         """Features written through the memmap read back bitwise at
         every element/index-width combination."""
-        with precision(dtype), index_precision(index_dtype):
+        with policy(dtype=dtype, index_dtype=index_dtype):
             dense, sharded = _make_pair(tmp_path)
             assert sharded.feature_storage == "memmap"
             assert isinstance(sharded.attributes, np.memmap)

@@ -16,9 +16,9 @@ import scipy.sparse as sp
 from repro.core import CGNP, CGNPConfig, task_batch_loss
 from repro.graph import GraphBatch, attributed_community_graph
 from repro.gnn.conv import graph_ops
-from repro.nn.backend import (NumpyBackend, ThreadedBackend,
+from repro.nn.backend import (NumpyBackend, Policy, ThreadedBackend,
                               available_backends, get_backend, make_backend,
-                              register_backend, set_backend, use_backend)
+                              policy, register_backend)
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
@@ -156,9 +156,10 @@ class TestModelDeterminism:
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_ragged_batch_loss_and_grads_bitwise(self, threads):
         model, tasks = self._fixture()
-        with use_backend(NumpyBackend()):
+        with policy(backend=NumpyBackend()):
             ref_loss, ref_grads = self._loss_and_grads(model, tasks)
-        with use_backend(ThreadedBackend(num_threads=threads, serial_rows=1)):
+        threaded = ThreadedBackend(num_threads=threads, serial_rows=1)
+        with policy(backend=threaded):
             thr_loss, thr_grads = self._loss_and_grads(model, tasks)
         np.testing.assert_array_equal(ref_loss, thr_loss)
         assert len(ref_grads) == len(thr_grads)
@@ -170,7 +171,7 @@ class TestModelDeterminism:
 
         model, tasks = self._fixture()
         engine = CommunitySearchEngine(model)
-        with use_backend("threaded", num_threads=2):
+        with policy(backend=make_backend("threaded", num_threads=2)):
             engine.attach(tasks[0])
             engine.query(0)
             assert engine.stats().backend == "threaded"
@@ -188,28 +189,27 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
-    def test_set_backend_accepts_names(self):
-        previous = get_backend()
-        try:
-            set_backend("threaded", num_threads=2)
-            assert get_backend().name == "threaded"
-        finally:
-            set_backend(previous)
-
     def test_register_backend_rejects_duplicates(self):
         with pytest.raises(ValueError, match="already registered"):
             register_backend("numpy", NumpyBackend)
 
     def test_env_defaults(self, monkeypatch):
-        from repro.nn.backend import _backend_from_env
-
         monkeypatch.setenv("REPRO_BACKEND", "threaded")
-        assert _backend_from_env().name == "threaded"
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            _backend_from_env()
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         assert ThreadedBackend().num_threads == 5
+        assert Policy.from_env().backend.num_threads == 5
+
+    @pytest.mark.parametrize("bad", ["abc", "0", "-2"])
+    def test_bad_num_threads_names_its_variable(self, bad, monkeypatch):
+        # Reported against REPRO_NUM_THREADS, not against REPRO_BACKEND
+        # which selected the backend.
+        monkeypatch.setenv("REPRO_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_NUM_THREADS", bad)
+        with pytest.raises(ValueError, match="REPRO_NUM_THREADS") as err:
+            Policy.from_env()
+        assert "REPRO_BACKEND" not in str(err.value)
+        with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
+            ThreadedBackend()
 
     def test_thread_count_validated(self):
         with pytest.raises(ValueError, match="num_threads"):
