@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.infer import validate_queries
+from ..core.infer import validate_queries, validate_threshold
 from ..core.model import CGNP
 from ..graph.delta import DeltaReport, GraphDelta, dirty_frontier
 from ..graph.features import feature_dimension
@@ -216,6 +216,8 @@ class CommunitySearchEngine:
         A trained :class:`~repro.core.model.CGNP`; switched to eval mode.
     threshold:
         Default membership probability threshold (overridable per query).
+        Here and per call it must be a finite number in ``[0, 1]``;
+        anything else raises ``ValueError``.
     max_cached_contexts:
         How many per-task context matrices to keep (LRU eviction).
     context_storage:
@@ -271,7 +273,7 @@ class CommunitySearchEngine:
             raise ValueError("max_cached_contexts must be >= 1")
         model.eval()
         self.model = model
-        self.threshold = float(threshold)
+        self.threshold = validate_threshold(threshold)
         self.max_cached_contexts = int(max_cached_contexts)
         self.context_storage = resolve_context_storage(context_storage)
         self.bundle: Optional[ModelBundle] = None
@@ -311,6 +313,7 @@ class CommunitySearchEngine:
         ``context_storage`` selects the cache width (see the class
         docstring); ``None`` defers to the ambient policy.
         """
+        validate_threshold(threshold)     # before the bundle is read
         if not isinstance(bundle, ModelBundle):
             bundle = ModelBundle.load(os.fspath(bundle))
         engine = cls(bundle.build_model(rng=rng, dtype=dtype),
@@ -598,12 +601,13 @@ class CommunitySearchEngine:
         sequence returns ``{query: community}``.  The query node is always
         a member of its own community.
         """
+        cutoff = (self.threshold if threshold is None
+                  else validate_threshold(threshold))
         single = isinstance(nodes, (int, np.integer))
         batch = [int(nodes)] if single else nodes
         task = self._require_task(task)
         indices = validate_queries(task.graph, batch)
         probabilities = self._predict_validated(task, indices)
-        cutoff = self.threshold if threshold is None else float(threshold)
         result: Dict[int, np.ndarray] = {}
         for row, query in zip(probabilities, indices.tolist()):
             members = row >= cutoff
@@ -699,6 +703,8 @@ class CommunitySearchEngine:
         Returns one :class:`~repro.core.infer.QueryPrediction` per query
         of ``task.queries``; picks land in the ``method_picks`` counter.
         """
+        if threshold is not None:
+            validate_threshold(threshold)
         task = self._require_task(task)
         native = self.native_method
         with self._lock:

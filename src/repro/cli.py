@@ -40,7 +40,8 @@ from typing import List, Optional
 import numpy as np
 
 from .api import CommunitySearchEngine, ModelBundle, available_methods
-from .core import CGNP, CGNPConfig, MetaTrainConfig, meta_train
+from .core import (CGNP, CGNPConfig, MetaTrainConfig, meta_train,
+                   validate_threshold)
 from .nn.backend import available_backends, make_backend, policy
 from .datasets import dataset_names, load_dataset
 from .eval import (
@@ -549,6 +550,7 @@ def _legacy_config(args: argparse.Namespace) -> CGNPConfig:
 def _cmd_query(args: argparse.Namespace) -> int:
     _warn_deprecated_query_flags(args)
     try:
+        validate_threshold(args.threshold)
         scope = _policy_scope(args)
     except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

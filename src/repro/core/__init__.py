@@ -18,7 +18,8 @@ from .decoders import (
     MLPDecoder,
     make_decoder,
 )
-from .infer import QueryPrediction, meta_test_task, predict_memberships, validate_queries
+from .infer import (QueryPrediction, meta_test_task, predict_memberships,
+                    validate_queries, validate_threshold)
 from .model import CGNP, CGNPConfig
 from .train import (MetaTrainConfig, TrainState, evaluate_loss, meta_train,
                     task_batch_loss, task_loss)
@@ -47,6 +48,7 @@ __all__ = [
     "meta_test_task",
     "predict_memberships",
     "validate_queries",
+    "validate_threshold",
     "calibrate_threshold",
     "sweep_thresholds",
 ]

@@ -27,7 +27,7 @@ from ..tasks.task import Task
 from .model import CGNP
 
 __all__ = ["QueryPrediction", "meta_test_task", "predict_memberships",
-           "validate_queries"]
+           "validate_queries", "validate_threshold"]
 
 
 @dataclasses.dataclass
@@ -67,6 +67,24 @@ def validate_queries(graph: Graph,
     # index_dtype_for keeps int64 for graphs too large for the policy
     # width (the ids were only bounds-checked against num_nodes).
     return indices.astype(index_dtype_for(graph.num_nodes), copy=False)
+
+
+def validate_threshold(threshold) -> float:
+    """``threshold`` as a float, or a :class:`ValueError` unless it is a
+    finite probability in ``[0, 1]``.
+
+    A cut-off outside that range (or NaN) is accepted by every comparison
+    and silently answers empty or all-node communities, so serving entry
+    points reject it up front.
+    """
+    message = f"threshold must be a finite number in [0, 1], got {threshold!r}"
+    try:
+        value = float(threshold)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
+    if not 0.0 <= value <= 1.0:   # NaN fails both comparisons
+        raise ValueError(message)
+    return value
 
 
 def _membership_probabilities(model: CGNP, task: Task,

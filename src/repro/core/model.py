@@ -305,7 +305,8 @@ class CGNP(Module):
 
         Pooling replicates the dense segment-scatter exactly: start from
         zeros and add replica blocks in view order — the same per-row
-        addition sequence ``np.add.at`` performs on the dense path.
+        edge-order addition sequence ``scatter_add_rows`` performs on
+        the dense path.
         """
         if not examples:
             raise ValueError("context requires at least one support example")

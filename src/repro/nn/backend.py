@@ -629,8 +629,13 @@ class ArrayBackend:
     def scatter_add_rows(self, source: np.ndarray, indices: np.ndarray,
                          num_rows: int) -> np.ndarray:
         """Rows of ``source`` summed into ``num_rows`` output rows:
-        ``out[indices[e]] += source[e]``, accumulating **in edge order**
-        (``np.add.at``'s order) so backends agree bitwise."""
+        ``out[indices[e]] += source[e]``, each output row starting from
+        zero and accumulating **in edge order** (increasing ``e``) so
+        backends agree bitwise.  The reference computes a 2-D scatter as
+        a CSR product and anything else with ``np.add.at``; both add in
+        that order.  Out-of-range indices raise ``IndexError``, negative
+        ones wrap around as in NumPy indexing, and a length mismatch
+        between ``indices`` and ``source`` raises ``ValueError``."""
         raise NotImplementedError
 
     def segment_softmax(self, scores: np.ndarray, segments: np.ndarray,
@@ -707,6 +712,15 @@ class NumpyBackend(ArrayBackend):
 
     def scatter_add_rows(self, source: np.ndarray, indices: np.ndarray,
                          num_rows: int) -> np.ndarray:
+        if (_csr_kernels is not None and source.ndim == 2
+                and source.dtype in _SCATTER_DTYPES
+                and isinstance(indices, np.ndarray) and indices.ndim == 1
+                and indices.dtype in _SCATTER_INDEX_DTYPES
+                and indices.shape[0] == source.shape[0]
+                and _indices_in_range(indices, num_rows)):
+            return _csr_scatter_add(source, indices, num_rows)
+        # 1-D sources (np.add.at is fast there) and malformed input,
+        # which keeps np.add.at's errors and negative-index wrap-around.
         out = np.zeros((num_rows,) + source.shape[1:], dtype=source.dtype)
         np.add.at(out, indices, source)
         return out
@@ -723,6 +737,64 @@ class NumpyBackend(ArrayBackend):
 
     def rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
+
+
+def _indices_in_range(indices: np.ndarray, limit: int) -> bool:
+    """Whether every index lies in ``[0, limit)``.
+
+    Selects the fast scatter paths: the reference's CSR scatter and the
+    unchecked JIT kernels take only in-range indices, so anything else
+    goes through ``np.add.at`` (and NumPy indexing) — which either raises
+    the proper ``IndexError`` or applies NumPy's negative-index
+    semantics, the same on every backend.  The cost is two O(E)
+    reductions (min, then max) per call, a minor fraction of the O(E)
+    passes over feature width they protect, so no validation cache.
+    """
+    if indices.size == 0:
+        return True
+    return bool(indices.min() >= 0) and bool(indices.max() < limit)
+
+
+#: Dtypes of the CSR scatter path, as dtype objects: comparing them is
+#: ~20x cheaper than ``dtype.name``, which matters on small scatters.
+_SCATTER_DTYPES = tuple(np.dtype(name) for name in SUPPORTED_DTYPES)
+_SCATTER_INDEX_DTYPES = tuple(np.dtype(name)
+                              for name in SUPPORTED_INDEX_DTYPES)
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _csr_scatter_add(source: np.ndarray, indices: np.ndarray,
+                     num_rows: int) -> np.ndarray:
+    """``S @ source`` with ``S[indices[e], e] = 1``: a 2-D row scatter-add
+    as one CSR product, bitwise equal to ``np.add.at`` and roughly 10x
+    faster on an 18k-edge, 64-wide GAT scatter (≈15 ms → 1.3–2 ms).
+
+    SciPy's ``coo_tocsr`` keeps each row's entries in input order, so row
+    ``r`` lists its edges in increasing ``e``; ``csr_matvecs`` adds them
+    into a zeroed row in that order, and ``1.0 * x`` is exact.  These are
+    the kernels ``csr_matrix(...) @ source`` runs; calling them directly
+    skips SciPy's per-call construction and validation (≈80 µs), which
+    made a 500 × 32 serving scatter slower than ``np.add.at``.  The
+    operator is built per call: batches are re-collated every step, so a
+    cached one would rarely be reused.  ``indices`` must lie in
+    ``[0, num_rows)`` and match ``source`` in length.
+    """
+    edges, width = source.shape
+    index_dtype = (indices.dtype if max(num_rows, edges) <= _INT32_MAX
+                   else np.dtype(np.int64))
+    indptr = np.empty(num_rows + 1, dtype=index_dtype)
+    columns = np.empty(edges, dtype=index_dtype)
+    ones = np.ones(edges, dtype=source.dtype)
+    _csr_kernels.coo_tocsr(num_rows, edges, edges,
+                           indices.astype(index_dtype, copy=False),
+                           np.arange(edges, dtype=index_dtype), ones,
+                           indptr, columns, np.empty_like(ones))
+    out = np.zeros((num_rows, width), dtype=source.dtype)
+    # Every entry is 1, so ``ones`` already is the row-ordered data array.
+    _csr_kernels.csr_matvecs(num_rows, edges, width, indptr, columns, ones,
+                             np.ascontiguousarray(source).reshape(-1),
+                             out.reshape(-1))
+    return out
 
 
 def _canonicalise_operator_indices(operator: sp.csr_matrix,
@@ -1092,24 +1164,6 @@ class NumbaBackend(NumpyBackend):
         return (indices.dtype.name in SUPPORTED_INDEX_DTYPES
                 and indices.flags.c_contiguous)
 
-    @staticmethod
-    def _indices_in_range(indices: np.ndarray, limit: int) -> bool:
-        """Whether every index lies in ``[0, limit)``.
-
-        The JIT kernels run without bounds checks, so anything outside
-        that range must take the NumPy reference path instead — which
-        either raises the proper ``IndexError`` or applies NumPy's
-        negative-index semantics, exactly as the other backends do.
-        The cost is two simple O(E) reductions (min, then max) per call;
-        the kernels they protect make at least one O(E) pass doing real
-        work per element (exp, multiply-add over feature width), so the
-        guard stays a minor fraction of each dispatch rather than
-        warranting an identity-keyed validation cache.
-        """
-        if indices.size == 0:
-            return True
-        return bool(indices.min() >= 0) and bool(indices.max() < limit)
-
     def spmm(self, matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
         if (getattr(matrix, "format", None) != "csr"
                 or matrix.dtype != dense.dtype
@@ -1203,7 +1257,7 @@ class NumbaBackend(NumpyBackend):
         if (source.ndim not in (1, 2) or indices.ndim != 1
                 or not self._supported(source)
                 or not self._index_supported(indices)
-                or not self._indices_in_range(indices, source.shape[0])):
+                or not _indices_in_range(indices, source.shape[0])):
             return super().gather_rows(source, indices)
         out = np.empty((indices.shape[0],) + source.shape[1:],
                        dtype=source.dtype)
@@ -1219,7 +1273,7 @@ class NumbaBackend(NumpyBackend):
                 or indices.shape[0] != source.shape[0]
                 or not self._supported(source)
                 or not self._index_supported(indices)
-                or not self._indices_in_range(indices, num_rows)):
+                or not _indices_in_range(indices, num_rows)):
             # The length check matters beyond dispatch hygiene: the JIT
             # kernel iterates the index array unbounds-checked, so a
             # mismatch must take np.add.at's error path instead.
@@ -1237,7 +1291,7 @@ class NumbaBackend(NumpyBackend):
                 or segments.shape[0] != scores.shape[0]
                 or not self._supported(scores)
                 or not self._index_supported(segments)
-                or not self._indices_in_range(segments, num_segments)):
+                or not _indices_in_range(segments, num_segments)):
             # Length mismatches take the numpy path (np.maximum.at's
             # ValueError) — the JIT kernel reads segments unchecked.
             return super().segment_softmax(scores, segments, num_segments)

@@ -36,9 +36,11 @@ backend wherever the reference order of operations can be reproduced:
   elu branch uses ``exp`` and is float-tolerance like
   ``segment_softmax``.
 * ``gather_rows_*`` copies rows — exact by construction.
-* ``scatter_add_*`` accumulates in edge order, matching
-  ``np.add.at`` — bitwise identical, hence **serial** (a parallel
-  scatter would need atomics and lose the deterministic order).
+* ``scatter_add_*`` starts each output row from zero and accumulates
+  in edge order, as the reference does (a CSR product for 2-D sources,
+  ``np.add.at`` otherwise) — bitwise identical, hence **serial** (a
+  parallel scatter would need atomics and lose the deterministic
+  order).
 * ``segment_softmax`` fuses the max / exp / normalise passes into one
   kernel.  The accumulation order matches the NumPy path, but numba's
   ``exp`` may differ from NumPy's by an ulp, so this one op is
@@ -269,8 +271,9 @@ def gather_rows_1d(source, indices, out):  # pragma: no cover - JIT
 def scatter_add_2d(source, indices, out):  # pragma: no cover - JIT
     """``out[indices[e], :] += source[e, :]`` in edge order.
 
-    Serial on purpose: matching ``np.add.at``'s accumulation order is
-    what makes the output bitwise identical to the NumPy backend.
+    Serial on purpose: matching the reference's edge-order
+    accumulation is what makes the output bitwise identical to the
+    NumPy backend.
     """
     count = indices.shape[0]
     width = source.shape[1]

@@ -259,6 +259,43 @@ class TestCommunitySearchEngine:
         assert len(permissive) == test_task.graph.num_nodes
         assert strict.tolist() == [query]
 
+    BAD_THRESHOLDS = [2.0, -0.1, float("nan"), float("inf"), "high"]
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_constructor_rejects_bad_threshold(self, model, threshold):
+        with pytest.raises(ValueError, match="threshold must be"):
+            CommunitySearchEngine(model, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_from_bundle_rejects_bad_threshold(self, model, threshold,
+                                               tmp_path):
+        path = str(tmp_path / "bundle.npz")
+        ModelBundle.from_model(model).save(path)
+        with pytest.raises(ValueError, match="threshold must be"):
+            CommunitySearchEngine.from_bundle(path, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_query_rejects_bad_threshold(self, model, test_task, threshold):
+        engine = CommunitySearchEngine(model).attach(test_task)
+        with pytest.raises(ValueError, match="threshold must be"):
+            engine.query(test_task.queries[0].query, threshold=threshold)
+        assert engine.stats().queries_served == 0
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_answer_task_rejects_bad_threshold(self, model, test_task,
+                                               threshold):
+        engine = CommunitySearchEngine(model).attach(test_task)
+        with pytest.raises(ValueError, match="threshold must be"):
+            engine.answer_task(threshold=threshold)
+        assert engine.stats().method_picks == {}
+
+    def test_threshold_bounds_are_inclusive(self, model, test_task):
+        engine = CommunitySearchEngine(model, threshold=1.0)
+        assert engine.threshold == 1.0
+        engine.attach(test_task)
+        predictions = engine.answer_task(method="cgnp-ip", threshold=0.0)
+        assert len(predictions) == len(test_task.queries)
+
     def test_detach_clears_active(self, model, test_task):
         engine = CommunitySearchEngine(model).attach(test_task)
         engine.detach()

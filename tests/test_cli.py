@@ -119,6 +119,15 @@ class TestCommands:
         assert code == 2
         assert "--backend threaded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan", "inf"])
+    def test_threshold_out_of_range_exits_2(self, threshold, capsys):
+        # Rejected before the dataset or the bundle is read.
+        code = main(["query", "--dataset", "cora", "--model", "x.npz",
+                     "--node", "0", "--threshold", threshold])
+        assert code == 2
+        assert "threshold must be a finite number in [0, 1]" in \
+            capsys.readouterr().err
+
     def test_omitted_backend_flags_keep_ambient_policies(self):
         """Flags default to None so REPRO_BACKEND/REPRO_INDEX_DTYPE (the
         process defaults) stay effective on the CLI entry points."""
